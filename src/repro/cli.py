@@ -510,8 +510,8 @@ def _cmd_serve(args, out) -> int:
         if concord.storage_recovered:
             rep = concord.warm_restart()
             print(f"[warm restart from {storage.backend} storage: "
-                  f"{rep.copies_restored + rep.copies_removed} delta op(s) "
-                  f"reconciled]", file=out)
+                  f"{rep.copies_restored + rep.copies_removed} copy op(s) "
+                  f"reconciled in {rep.rounds} recon round(s)]", file=out)
         else:
             concord.initial_scan()
             if args.expect_warm:

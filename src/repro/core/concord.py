@@ -226,61 +226,58 @@ class ConCORD:
 
         Default (cold): the shard rejoins empty.  ``warm=True`` with a
         persistent backend reloads the last committed segments and then
-        runs a delta repair, so rejoin cost scales with what changed
+        repairs the holed ranges, so rejoin cost scales with what changed
         while the node was down, not with total content
-        (docs/STORAGE.md); the delta pass's :class:`RepairReport` is
+        (docs/STORAGE.md); that repair's :class:`RepairReport` is
         returned.  Warm on a memory backend (or with nothing committed)
-        degrades gracefully to the cold path.
+        rejoins empty and repairs the holes just the same.
         """
         self.cluster.network.set_node_up(node, True)
         self.tracing.node_restarted(node, recover=warm)
         if warm:
-            return self.repair(delta=True)
+            return self.repair()
         return None
 
     def detect_failures(self, issuing_node: int = 0) -> list[int]:
         """Probe believed-alive peers; fail over any that are down."""
         return self.tracing.detect_failures(issuing_node)
 
-    def repair(self, full: bool = False, delta: bool = False,
-               mode: str | None = None) -> RepairReport:
-        """Anti-entropy repair: re-populate holed hash ranges from the
-        monitors' ground truth (``full=True`` rebuilds every range, also
-        healing datagram-loss holes; ``delta=True`` reconciles believed
-        state against ground truth instead of purge-and-replay — same
-        final bytes, local cost proportional to divergence;
-        ``mode="recon"`` runs the digest-tree set-reconciliation
-        protocol so *wire* cost is proportional to divergence too —
-        docs/RECONCILIATION.md)."""
-        return self.tracing.repair(full=full, delta=delta, mode=mode)
+    def repair(self, full: bool = False, mode: str | None = None,
+               **removed: Any) -> RepairReport:
+        """Anti-entropy repair: reconcile holed hash ranges with the
+        monitors' ground truth through the digest-tree
+        set-reconciliation protocol, so both local work and wire bytes
+        are proportional to the divergence (docs/RECONCILIATION.md).
+        ``full=True`` (or ``mode="recon"``) reconciles every range,
+        also healing datagram-loss holes."""
+        return self.tracing.repair(full=full, mode=mode, **removed)
 
-    def warm_restart(self, mode: str = "delta") -> RepairReport:
+    def warm_restart(self, **removed: Any) -> RepairReport:
         """Finish a warm process restart: rebase the monitors (ground
         truth without update replay) and reconcile the recovered shards
         against it.
 
         Call this instead of :meth:`initial_scan` when the instance came
         up with :attr:`storage_recovered` True — a fresh instance on an
-        already-populated storage root.  The reconcile pass heals exactly
-        the divergence between the last commit and live memory (plus any
-        un-flushed overlay lost in the crash), so a quiet restart is
-        near-free while a cold rebuild re-routes every copy.  The
-        resulting shards are byte-identical to a cold full rebuild.
-
-        ``mode`` picks the reconciliation: ``"delta"`` (default) diffs
-        locally and replays only the difference; ``"recon"`` drives the
-        digest-tree :class:`~repro.recon.session.ReconSession` protocol,
-        whose wire bytes also scale with the divergence.
+        already-populated storage root.  The reconcile pass covers every
+        range and heals exactly the divergence between the last commit
+        and live memory (plus any un-flushed overlay lost in the crash),
+        so a quiet restart is near-free while a cold rebuild re-routes
+        every copy.  The resulting shards are byte-identical to a cold
+        :meth:`initial_scan`.
         """
-        if mode not in ("delta", "recon"):
-            raise ValueError(f"unknown warm_restart mode {mode!r}; "
-                             f"expected 'delta' or 'recon'")
+        if "mode" in removed:
+            raise TypeError(
+                "warm_restart() no longer accepts mode=: it always "
+                "reconciles every range through the set-reconciliation "
+                "protocol; call warm_restart()")
+        if removed:
+            raise TypeError(
+                f"unknown warm_restart argument(s) {sorted(removed)}")
         for node_id, mon in enumerate(self.monitors):
             if self._node_up(node_id):
                 mon.rebase()
-        if mode == "recon":
-            return self.tracing.repair(mode="recon")
-        return self.tracing.repair(full=True, delta=True)
+        return self.tracing.repair(full=True)
 
     @property
     def storage_recovered(self) -> bool:

@@ -39,8 +39,7 @@ from repro.recon import (DigestCache, PairSetDigest, ReconSession,
                          canonical_pairs, pair_multiset_diff)
 from repro.sim.cluster import Cluster
 from repro.sim.network import DeliveryError
-from repro.util.records import (ENTITY_ID_BYTES, HASH_BYTES,
-                                ControlMessage, MsgKind, UpdateBatch)
+from repro.util.records import ControlMessage, MsgKind, UpdateBatch
 
 __all__ = ["ContentTracingEngine", "TracingStats", "RepairReport",
            "JoinReport"]
@@ -105,14 +104,13 @@ class TracingStats:
 class RepairReport:
     """What one anti-entropy repair pass rebuilt, and what it cost.
 
-    ``copies_removed`` is only nonzero for delta/recon repairs (stale
-    believed copies reconciled away); a purge-and-replay pass reports 0.
-    ``bytes_wire``/``rounds`` account the repair traffic: modeled
-    :class:`UpdateBatch` framing for replay and delta (one round), real
-    per-message costs of the :class:`~repro.recon.session.ReconSession`
-    protocol for ``mode="recon"``.  ``node_ops`` lists, per shard that
-    needed changes, ``(node, copies_inserted, copies_removed)`` — how
-    the lab triage names the divergent node.
+    Every repair is a set reconciliation: ``copies_restored`` and
+    ``copies_removed`` count the believed copies inserted and removed to
+    converge each shard onto the routed ground truth.  ``bytes_wire``/
+    ``rounds`` account the real per-message cost of the
+    :class:`~repro.recon.session.ReconSession` protocol.  ``node_ops``
+    lists, per shard that needed changes, ``(node, copies_inserted,
+    copies_removed)`` — how the lab triage names the divergent node.
     """
 
     ranges_repaired: int
@@ -154,9 +152,14 @@ _U64 = np.uint64
 _ONE = np.uint64(1)
 
 
-def _contains_sorted(sorted_hashes: np.ndarray, h: int) -> bool:
-    i = int(np.searchsorted(sorted_hashes, _U64(h)))
-    return i < len(sorted_hashes) and int(sorted_hashes[i]) == h
+def _in_sorted(sorted_hashes: np.ndarray, keys) -> list[bool]:
+    """Membership of each hash in ``keys`` in a sorted hash column."""
+    k = np.fromiter(keys, dtype=_U64)
+    i = np.searchsorted(sorted_hashes, k)
+    found = np.zeros(len(k), dtype=bool)
+    ok = i < len(sorted_hashes)
+    found[ok] = sorted_hashes[i[ok]] == k[ok]
+    return found.tolist()
 
 
 def _pairs_where(shard: LocalDHT, sel: np.ndarray | None = None) \
@@ -179,24 +182,30 @@ def _pairs_where(shard: LocalDHT, sel: np.ndarray | None = None) \
             out_h.append(rows)
             out_e.append(np.full(len(rows), eid, dtype=np.int64))
             out_c.append(np.ones(len(rows), dtype=np.int64))
-    for h, hi in wide.items():          # holders >= entity 64 (sparse)
-        if not _contains_sorted(hs, h):
-            continue
-        m = hi
+    # The sparse parts, one row per (hash, entity): holders >= entity 64,
+    # then extra copies beyond the first.
+    sp_h: list[int] = []
+    sp_e: list[int] = []
+    sp_c: list[int] = []
+    for (h, hi), keep in zip(wide.items(), _in_sorted(hs, wide)):
+        m = hi if keep else 0
         while m:
             low = m & -m
-            out_h.append(np.array([h], dtype=_U64))
-            out_e.append(np.array([64 + low.bit_length() - 1],
-                                  dtype=np.int64))
-            out_c.append(np.ones(1, dtype=np.int64))
+            sp_h.append(h)
+            sp_e.append(64 + low.bit_length() - 1)
+            sp_c.append(1)
             m ^= low
-    for h, ex in shard.extra_items():   # extra copies beyond the first
-        if not _contains_sorted(hs, h):
-            continue
-        for e, c in ex.items():
-            out_h.append(np.array([h], dtype=_U64))
-            out_e.append(np.array([e], dtype=np.int64))
-            out_c.append(np.array([c], dtype=np.int64))
+    extra = shard.extra_items()
+    for (h, ex), keep in zip(extra, _in_sorted(hs, (h for h, _ in extra))):
+        if keep:
+            for e, c in ex.items():
+                sp_h.append(h)
+                sp_e.append(e)
+                sp_c.append(c)
+    if sp_h:
+        out_h.append(np.array(sp_h, dtype=_U64))
+        out_e.append(np.array(sp_e, dtype=np.int64))
+        out_c.append(np.array(sp_c, dtype=np.int64))
     if out_h:
         return (np.concatenate(out_h), np.concatenate(out_e),
                 np.concatenate(out_c))
@@ -208,32 +217,24 @@ def _pairs_in_ranges(shard: LocalDHT, partition: Partition,
                      targets: np.ndarray) \
         -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One shard's believed copies inside the target primary ranges —
-    the "have" side of the delta-repair reconcile."""
+    the believed side of a repair that reconciles only those ranges."""
     hashes, _lo, _wide = shard.items_arrays()
     sel = (np.isin(partition.primary_nodes(hashes), targets)
            if len(hashes) else None)
     return _pairs_where(shard, sel)
 
 
-# The canonical diff moved to :mod:`repro.recon.diff` so the recon
-# protocol, the join cutover and delta repair share one definition of
-# "differ"; the alias keeps the engine-internal name stable.
-_pair_multiset_diff = pair_multiset_diff
-
-# One DHT update on the wire (UpdateBatch): hash + entity + op flag.
-_UPDATE_BYTES = HASH_BYTES + ENTITY_ID_BYTES + 1
-# UDP/IP + ConCORD header overhead per update datagram.
-_UPDATE_HEADER_BYTES = 58
-
-
-def _modeled_replay_bytes(n_updates: int, n_represented: int,
-                          batch: int) -> int:
-    """Wire bytes a purge-and-replay (or delta replay) of ``n_updates``
-    update records would cost, matching :class:`UpdateBatch` framing."""
-    if n_updates <= 0:
-        return 0
-    return (n_updates * _UPDATE_BYTES * n_represented
-            + -(-n_updates // batch) * _UPDATE_HEADER_BYTES)
+def _apply_diff(shard: LocalDHT, ins: tuple, rem: tuple) -> tuple[int, int]:
+    """Apply a pair-multiset diff to one shard: remove ``rem``, then
+    insert ``ins``, each canonical row expanded to its copy count.
+    Returns (copies inserted, copies removed)."""
+    rem_h, rem_e, rem_c = rem
+    if len(rem_h):
+        shard.bulk_remove(np.repeat(rem_h, rem_c), np.repeat(rem_e, rem_c))
+    ins_h, ins_e, ins_c = ins
+    if len(ins_h):
+        shard.bulk_insert(np.repeat(ins_h, ins_c), np.repeat(ins_e, ins_c))
+    return int(ins_c.sum()), int(rem_c.sum())
 
 
 class ContentTracingEngine:
@@ -257,8 +258,8 @@ class ContentTracingEngine:
         None reads the env-driven :class:`StorageConfig` default.  With a
         persistent backend pointed at a prior run's root, the shards load
         their last committed state at construction (``recovered``) and
-        :meth:`repair` with ``delta=True`` reconciles them against the
-        monitors' ground truth — the warm-restart path.
+        :meth:`repair` reconciles them against the monitors' ground
+        truth — the warm-restart path.
 
         ``placement`` selects the hash→node map
         (:data:`~repro.dht.partition.PLACEMENT_POLICIES`); the default
@@ -487,8 +488,9 @@ class ContentTracingEngine:
         By default the node rejoins empty.  With ``recover=True`` (and a
         persistent storage backend holding a commit) it reloads its local
         segments first — the warm-rejoin path; the recovered view is
-        stale, so its ranges still need :meth:`repair` (``delta=True``
-        makes that cost scale with the staleness, not the content).
+        stale, so its ranges still need :meth:`repair`, whose
+        reconciliation makes that cost scale with the staleness, not the
+        content.
         """
         if node >= self.partition.n_nodes:
             return
@@ -650,17 +652,8 @@ class ContentTracingEngine:
               else np.empty(0, dtype=_U64))
         we = (np.concatenate(want_new_e) if want_new_e
               else np.empty(0, dtype=np.int64))
-        ins, rem = _pair_multiset_diff(have_h, have_e, have_c, wh, we)
-        rem_h, rem_e, rem_c = rem
-        if len(rem_h):
-            new_shard.bulk_remove(np.repeat(rem_h, rem_c),
-                                  np.repeat(rem_e, rem_c))
-        ins_h, ins_e, ins_c = ins
-        if len(ins_h):
-            new_shard.bulk_insert(np.repeat(ins_h, ins_c),
-                                  np.repeat(ins_e, ins_c))
-        delta_ins = int(ins_c.sum())
-        delta_rem = int(rem_c.sum())
+        ins, rem = pair_multiset_diff(have_h, have_e, have_c, wh, we)
+        delta_ins, delta_rem = _apply_diff(new_shard, ins, rem)
         # Phase 4: wholesale moves between pre-existing nodes.
         for dst in sorted(plain):
             self.shards[dst].bulk_insert(np.concatenate(plain[dst][0]),
@@ -743,66 +736,57 @@ class ContentTracingEngine:
                                           count=len(ranges)))
         return shard.retain(keep)
 
-    def repair(self, full: bool = False, delta: bool = False,
-               mode: str | None = None) -> RepairReport:
-        """Rebuild non-intact ranges from the monitors' ground truth.
+    def repair(self, full: bool = False, mode: str | None = None,
+               **removed) -> RepairReport:
+        """Reconcile shards with the monitors' ground truth.
 
-        Each alive node re-routes its NSM's last-scanned view — restricted
-        to the ranges under repair — to the ranges' current homes; the
-        paper's observation that "the DHT can always be rebuilt from the
-        node-local content" made operational.  ``full=True`` rebuilds every
-        range (a complete anti-entropy pass), which also heals holes left
-        by lost update datagrams, not just failover damage.
+        Each alive node re-routes its NSM's last-scanned view —
+        restricted to the ranges under repair — to the ranges' current
+        homes; the paper's observation that "the DHT can always be
+        rebuilt from the node-local content" made operational.  Every
+        alive shard then runs one digest-tree set-reconciliation session
+        (:class:`~repro.recon.session.ReconSession`) against the truth
+        routed to it and applies only the difference, so both the local
+        work and the wire bytes scale with the divergence
+        (docs/RECONCILIATION.md).
 
-        ``delta=True`` reconciles instead of purge-and-replaying: the
-        shards' believed (hash, entity) multiset for the target ranges is
-        diffed against the routed ground truth and only the difference is
-        applied, so *local* cost scales with divergence rather than
-        content size.  Because the packed representation is canonical
-        after compaction, every mode lands on byte-identical shards —
-        delta is what makes a warm restart cheap (docs/STORAGE.md).
-
-        ``mode="recon"`` runs a full anti-entropy pass through the
-        digest-tree set-reconciliation protocol
-        (:class:`~repro.recon.session.ReconSession`): each shard compares
-        hierarchical range digests against the routed truth and ships
-        only mismatched subtrees, so *wire* cost also scales with
-        divergence — docs/RECONCILIATION.md.  Replay/delta instead
-        account the full :class:`UpdateBatch` framing of every applied
-        record in ``bytes_wire``.
+        By default only non-intact ranges (failover holes) are
+        reconciled.  ``full=True`` (equivalently ``mode="recon"``)
+        reconciles every range, which also heals holes left by lost
+        update datagrams, not just failover damage.
 
         Entities hosted on dead nodes contribute nothing (their memory is
         gone), so their entries do not reappear in repaired ranges.
         """
+        if "delta" in removed:
+            raise TypeError(
+                "repair() no longer accepts delta=: every repair "
+                "reconciles through the set-reconciliation protocol; call "
+                "repair() for the holed ranges or repair(full=True) for "
+                "every range")
+        if removed:
+            raise TypeError(f"unknown repair argument(s) {sorted(removed)}")
         if mode not in (None, "recon"):
             raise ValueError(f"unknown repair mode {mode!r}; "
                              f"expected None or 'recon'")
-        recon = mode == "recon"
+        every = full or mode == "recon"
         self.refresh_failed()
         # Targets are primary ranges of the routed ring; the NSM scan
         # below walks every cluster node (a mid-join node hosts no
-        # entities yet, so the distinction is only about ranges).  A
-        # recon pass always covers every range: pruning intact subtrees
-        # is the protocol's own job and costs one digest round.
+        # entities yet, so the distinction is only about ranges).
         n = self.partition.n_nodes
-        targets = (np.arange(n, dtype=np.int64) if full or recon
+        targets = (np.arange(n, dtype=np.int64) if every
                    else np.flatnonzero(~self._intact[:n]).astype(np.int64))
         if not len(targets):
             return RepairReport(0, 0, 0, 0)
-        target_set = set(targets.tolist())
-        if not delta and not recon:
-            for owner in self.partition.alive_nodes().tolist():
-                self._purge_ranges_at(int(owner), target_set)
         before_hashes = self.total_hashes
-        copies = 0
-        removed = 0
         nodes_scanned = 0
         net = self.cluster.network
         # Routing (select hashes in repaired ranges, group by current
         # home) is pure and fans out through the pool — one task per
-        # (node, entity), gathered in collection order; the bulk_insert
-        # replay below runs on the coordinator in that same order, so
-        # repaired shards are byte-identical at any worker count.
+        # (node, entity), gathered in collection order; the sessions
+        # below run on the coordinator, so repaired shards are
+        # byte-identical at any worker count.
         tasks: list[tuple[np.ndarray, Partition, np.ndarray]] = []
         task_eids: list[int] = []
         work = 0
@@ -821,29 +805,9 @@ class ContentTracingEngine:
                 task_eids.append(entity.entity_id)
                 work += len(hashes)
         routed = self.pool.run_tasks(_ops.repair_route, tasks, work=work)
-        node_ops: list[tuple[int, int, int]] = []
-        if recon:
-            copies, removed, bytes_wire, rounds, node_ops = \
-                self._recon_repair(task_eids, routed)
-        elif delta:
-            copies, removed, node_ops = \
-                self._reconcile(targets, task_eids, routed)
-            bytes_wire = _modeled_replay_bytes(
-                copies + removed, self.n_represented, self.batch_size)
-            rounds = 1 if copies + removed else 0
-        else:
-            per_dst: dict[int, int] = {}
-            for eid, groups in zip(task_eids, routed):
-                if not groups:
-                    continue
-                for dst, hs in groups.items():
-                    self.shards[dst].bulk_insert(hs, eid)
-                    copies += len(hs)
-                    per_dst[dst] = per_dst.get(dst, 0) + len(hs)
-            node_ops = [(d, c, 0) for d, c in sorted(per_dst.items())]
-            bytes_wire = _modeled_replay_bytes(
-                copies, self.n_represented, self.batch_size)
-            rounds = 1 if copies else 0
+        copies, removed_copies, bytes_wire, rounds, node_ops = \
+            self._recon_repair(task_eids, routed,
+                               None if every else targets)
         self._c_repair_bytes.inc(bytes_wire)
         self._c_repair_rounds.inc(rounds)
         self._intact[targets] = True
@@ -852,21 +816,20 @@ class ContentTracingEngine:
         tr = self.obs.tracer
         if tr.enabled:
             tr.instant("dht.repair", ranges=len(targets),
-                       copies_restored=copies, copies_removed=removed,
-                       nodes_scanned=nodes_scanned, bytes_wire=bytes_wire,
-                       mode=mode or ("delta" if delta else "replay"))
+                       copies_restored=copies, copies_removed=removed_copies,
+                       nodes_scanned=nodes_scanned, bytes_wire=bytes_wire)
         return RepairReport(ranges_repaired=len(targets),
                             hashes_restored=self.total_hashes - before_hashes,
                             copies_restored=copies,
                             nodes_scanned=nodes_scanned,
-                            copies_removed=removed,
+                            copies_removed=removed_copies,
                             bytes_wire=bytes_wire, rounds=rounds,
                             node_ops=tuple(node_ops))
 
     def _want_by_dst(self, task_eids: list[int], routed: list) \
             -> tuple[list[list[np.ndarray]], list[list[np.ndarray]]]:
         """Group routed ground-truth hashes into per-destination
-        (hash, entity) replay streams."""
+        (hash, entity) streams."""
         n = self.partition.n_nodes
         want_h: list[list[np.ndarray]] = [[] for _ in range(n)]
         want_e: list[list[np.ndarray]] = [[] for _ in range(n)]
@@ -878,53 +841,21 @@ class ContentTracingEngine:
                 want_e[dst].append(np.full(len(hs), eid, dtype=np.int64))
         return want_h, want_e
 
-    def _reconcile(self, targets: np.ndarray, task_eids: list[int],
-                   routed: list) -> tuple[int, int,
-                                          list[tuple[int, int, int]]]:
-        """Delta-repair apply: per destination shard, diff believed
-        copies against routed ground truth and apply removes-then-inserts
-        in (hash, entity) order.  Returns (copies inserted, removed,
-        per-node op list)."""
-        want_h, want_e = self._want_by_dst(task_eids, routed)
-        inserted = removed = 0
-        node_ops: list[tuple[int, int, int]] = []
-        for dst in self.partition.alive_nodes().tolist():
-            dst = int(dst)
-            shard = self.shards[dst]
-            hh, he, hc = _pairs_in_ranges(shard, self.partition, targets)
-            wh = (np.concatenate(want_h[dst]) if want_h[dst]
-                  else np.empty(0, dtype=_U64))
-            we = (np.concatenate(want_e[dst]) if want_e[dst]
-                  else np.empty(0, dtype=np.int64))
-            ins, rem = _pair_multiset_diff(hh, he, hc, wh, we)
-            d_ins = d_rem = 0
-            rem_h, rem_e, rem_c = rem
-            if len(rem_h):
-                shard.bulk_remove(np.repeat(rem_h, rem_c),
-                                  np.repeat(rem_e, rem_c))
-                d_rem = int(rem_c.sum())
-            ins_h, ins_e, ins_c = ins
-            if len(ins_h):
-                shard.bulk_insert(np.repeat(ins_h, ins_c),
-                                  np.repeat(ins_e, ins_c))
-                d_ins = int(ins_c.sum())
-            inserted += d_ins
-            removed += d_rem
-            if d_ins or d_rem:
-                node_ops.append((dst, d_ins, d_rem))
-        return inserted, removed, node_ops
-
-    def _recon_repair(self, task_eids: list[int], routed: list) \
+    def _recon_repair(self, task_eids: list[int], routed: list,
+                      targets: np.ndarray | None) \
             -> tuple[int, int, int, int, list[tuple[int, int, int]]]:
         """Set-reconciliation apply: one :class:`ReconSession` per alive
         shard converges its believed rows onto the routed truth.
 
-        The truth side is aggregated at a coordinator (counts sum and
-        64-bit mixed digests combine across contributing nodes without
-        shipping rows — an XOR/sum tree reduction like the collective
-        queries'), so what crosses the wire is digest rounds plus the
-        mismatched leaf rows, per session.  Returns (copies inserted,
-        removed, wire bytes, protocol rounds, per-node op list).
+        ``targets=None`` reconciles every range, and the believed digest
+        comes from the epoch-keyed cache; otherwise only the believed
+        rows inside the target primary ranges take part.  The truth side
+        is aggregated at a coordinator (counts sum and 64-bit mixed
+        digests combine across contributing nodes without shipping rows
+        — an XOR/sum tree reduction like the collective queries'), so
+        what crosses the wire is digest rounds plus the mismatched leaf
+        rows, per session.  Returns (copies inserted, removed, wire
+        bytes, protocol rounds, per-node op list).
         """
         want_h, want_e = self._want_by_dst(task_eids, routed)
         net = self.cluster.network
@@ -939,10 +870,14 @@ class ContentTracingEngine:
         node_ops: list[tuple[int, int, int]] = []
         for dst in alive:
             shard = self.shards[dst]
-            believed = self._digests.get(
-                dst, self.shard_epoch(dst),
-                lambda s=shard: PairSetDigest(
-                    *canonical_pairs(*_pairs_where(s))))
+            if targets is None:
+                believed = self._digests.get(
+                    dst, self.shard_epoch(dst),
+                    lambda s=shard: PairSetDigest(
+                        *canonical_pairs(*_pairs_where(s))))
+            else:
+                believed = PairSetDigest(*canonical_pairs(
+                    *_pairs_in_ranges(shard, self.partition, targets)))
             wh = (np.concatenate(want_h[dst]) if want_h[dst]
                   else np.empty(0, dtype=_U64))
             we = (np.concatenate(want_e[dst]) if want_e[dst]
@@ -951,17 +886,7 @@ class ContentTracingEngine:
             session = ReconSession(believed, truth, src_node=dst,
                                    dst_node=coord, emit=emit)
             report = session.run()
-            d_ins = d_rem = 0
-            rem_h, rem_e, rem_c = report.rem
-            if len(rem_h):
-                shard.bulk_remove(np.repeat(rem_h, rem_c),
-                                  np.repeat(rem_e, rem_c))
-                d_rem = int(rem_c.sum())
-            ins_h, ins_e, ins_c = report.ins
-            if len(ins_h):
-                shard.bulk_insert(np.repeat(ins_h, ins_c),
-                                  np.repeat(ins_e, ins_c))
-                d_ins = int(ins_c.sum())
+            d_ins, d_rem = _apply_diff(shard, report.ins, report.rem)
             inserted += d_ins
             removed += d_rem
             bytes_wire += report.bytes_wire

@@ -26,7 +26,7 @@ Durability model: a commit happens at every packed-column mutation
 (delta-overlay compaction, bulk write-back, range eviction, entity
 purge) and on an explicit ``LocalDHT.flush()``.  Point updates buffered
 in the delta overlay are *not* durable until one of those — the warm-
-restart delta repair (docs/STORAGE.md) exists precisely to heal that
+restart reconciliation (docs/STORAGE.md) exists precisely to heal that
 gap from the monitors' ground truth.
 """
 

@@ -176,7 +176,7 @@ class LocalDHT:
         Afterwards the backend holds the complete current state — the
         state a :meth:`recover` (warm restart) will see.  Point updates
         between flushes live in the RAM delta overlay and are *not*
-        durable; the warm-restart delta repair heals exactly that gap.
+        durable; the warm-restart reconciliation heals exactly that gap.
         """
         st = self._store
         if st is None or not st.persistent:

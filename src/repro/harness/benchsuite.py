@@ -42,6 +42,8 @@ from repro.services.checkpoint import CheckpointStore, CollectiveCheckpoint
 from repro.services.null import NullService
 from repro.sim.cluster import Cluster
 from repro.sim.costmodel import BIG_CLUSTER, NEW_CLUSTER
+from repro.util.records import (ENTITY_ID_BYTES, HASH_BYTES,
+                                MSG_HEADER_BYTES, UDP_HEADER_BYTES)
 from repro import workloads
 
 __all__ = [
@@ -532,11 +534,12 @@ def _bench_storage_scan(ctx: BenchContext, _state) -> None:
 
 
 def _bench_storage_restart(ctx: BenchContext, _state) -> None:
-    """Cold full-rebuild repair vs warm delta catch-up after a restart.
+    """Cold rebuild vs warm reconciliation after a restart.
 
     The deterministic count metrics pin the headline property: the warm
     path's applied operations scale with the divergence accumulated
-    while the node was down, not with total content; the wall metrics
+    while the node was down, not with total content (the cold side is a
+    fresh ``initial_scan``, which routes every copy); the wall metrics
     track the end-to-end restart latency of both paths.
     """
     p = ctx.params
@@ -561,7 +564,7 @@ def _bench_storage_restart(ctx: BenchContext, _state) -> None:
             c.initial_scan()
             total_copies = c.tracing.total_copies
 
-        # Warm: recover segments, rebase monitors, delta-reconcile.
+        # Warm: recover segments, rebase monitors, reconcile.
         cluster2, ents2 = fresh()
         mutate(ents2)
         t0 = time.perf_counter()
@@ -576,12 +579,10 @@ def _bench_storage_restart(ctx: BenchContext, _state) -> None:
         mutate(ents3)
         t0 = time.perf_counter()
         with ConCORD.from_config(cluster3, ConCORDConfig()) as c3:
-            c3.initial_scan()
-            rep_cold = c3.repair(full=True)
+            cold_applied = c3.initial_scan()
             t_cold = time.perf_counter() - t0
 
         warm_applied = rep_warm.copies_restored + rep_warm.copies_removed
-        cold_applied = rep_cold.copies_restored + rep_cold.copies_removed
         assert warm_applied < cold_applied, \
             "warm repair applied no fewer ops than a cold rebuild"
         ctx.count("total_copies", total_copies)
@@ -681,12 +682,20 @@ def _bench_repair_divergence(ctx: BenchContext, _state) -> None:
 
     Every shard loses a contiguous hash range (the clustered shape real
     failures produce: failover holes, partial flushes) and is repaired
-    twice from identical state — once with ``mode="recon"``, once with
-    the linear full-rebuild replay.  The ``dht.repair.bytes_wire``
-    counter gives both costs on the same scale; the acceptance gate pins
+    with ``mode="recon"``.  Its wire bytes are set against the reference
+    cost of a linear full-rebuild replay — :class:`UpdateBatch` framing
+    of every rebuilt copy — on the same scale; the acceptance gate pins
     recon under 25% of the replay at 5% divergence.
     """
     p = ctx.params
+
+    def replay_bytes(n_copies: int, batch: int, n_represented: int) -> int:
+        """Reference model: ``n_copies`` insert records in datagrams of
+        ``batch`` updates each, framed exactly as :class:`UpdateBatch`."""
+        per_update = HASH_BYTES + ENTITY_ID_BYTES + 1   # + op flag
+        header = UDP_HEADER_BYTES + MSG_HEADER_BYTES
+        return (n_copies * per_update * n_represented
+                + -(-n_copies // batch) * header)
 
     def diverged(d: float):
         cluster = Cluster(p["n_nodes"], cost="new-cluster", seed=13)
@@ -705,13 +714,16 @@ def _bench_repair_divergence(ctx: BenchContext, _state) -> None:
     ratio_at = {}
     for d in p["divergences"]:
         pct = f"{d:g}"
-        rep_recon = diverged(d).repair(mode="recon")
-        rep_replay = diverged(d).repair(full=True)
-        assert rep_replay.bytes_wire > 0, "replay repair moved no bytes"
-        ratio = rep_recon.bytes_wire / rep_replay.bytes_wire
+        concord = diverged(d)
+        rep_recon = concord.repair(mode="recon")
+        eng = concord.tracing
+        replay = replay_bytes(eng.total_copies, eng.batch_size,
+                              eng.n_represented)
+        assert replay > 0, "replay reference moved no bytes"
+        ratio = rep_recon.bytes_wire / replay
         ratio_at[d] = ratio
         ctx.count(f"recon_bytes.{pct}", rep_recon.bytes_wire)
-        ctx.count(f"replay_bytes.{pct}", rep_replay.bytes_wire)
+        ctx.count(f"replay_bytes.{pct}", replay)
         ctx.count(f"recon_rounds.{pct}", rep_recon.rounds)
         ctx.sim(f"bytes_ratio.{pct}", ratio, unit="frac")
     gate = ratio_at.get(0.05)
@@ -912,7 +924,7 @@ def build_default_runner(workers: int | None = None) -> BenchRunner:
         "storage.restart.cold_vs_warm", _bench_storage_restart,
         params={"backend": "mmap", "n_nodes": 4, "sim_pages": 1024,
                 "mutate": 0.05}, tier="quick",
-        doc="warm restart delta catch-up vs cold full-NSM rebuild"))
+        doc="warm restart reconciliation vs cold initial_scan rebuild"))
 
     # Set reconciliation + content-defined chunking
     # (docs/RECONCILIATION.md).

@@ -104,16 +104,6 @@ class CollectiveQueryEngine:
             node_masks[node] = node_masks.get(node, 0) | bit
         return s_mask, node_masks
 
-    def _shard_in_s_copies(self, shard, s_mask: int) \
-            -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, int]]:
-        """One shard's in-S scan (kernel body in :mod:`repro.exec.ops`)."""
-        return _ops.shard_in_s_copies(shard, s_mask)
-
-    def _shard_breakdown(self, shard, s_mask: int,
-                         node_masks: dict[int, int]) -> SharingBreakdown:
-        """One shard's partial sums (kernel in :mod:`repro.exec.ops`)."""
-        return _ops.shard_breakdown(shard, s_mask, node_masks)
-
     def _live_shards_versioned(self) -> tuple[list, list[int]]:
         """The live shards plus their epochs (segment-reuse versions)."""
         shards = self.engine.live_shards()

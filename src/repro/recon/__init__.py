@@ -1,7 +1,6 @@
 """Digest-based set reconciliation (docs/RECONCILIATION.md).
 
-The repair paths introduced across PR 2 (anti-entropy rebuild), PR 7
-(warm restart) and PR 8 (join delta catch-up) all converge two
+Repair, warm restart and join catch-up all converge two
 (hash, entity, count) multisets — a shard's *believed* copies and the
 NSM *ground truth* routed to it.  This package is their shared core:
 
@@ -11,13 +10,13 @@ NSM *ground truth* routed to it.  This package is their shared core:
   digest over a shard's sorted hash column (prefix-sum of mixed row
   keys, so any hash-range digest is O(log n)), cached per shard epoch;
 * :mod:`repro.recon.session` — :class:`ReconSession`, the two-party
-  protocol: digest exchange, recursive partition-by-prefix descent into
-  mismatched subtrees, and a pair-multiset leaf diff, with real wire
-  cost accounted per round.
+  protocol: digest exchange, a level-at-a-time partition-by-prefix
+  descent into mismatched subtrees, and a pair-multiset leaf diff, with
+  real wire cost accounted per round.
 
-``ConCORD.repair(mode="recon")`` drives one session per shard, so
-repair bandwidth scales with the *divergence* between the DHT view and
-ground truth instead of with total tracked content.
+Every ``ConCORD.repair`` (and ``warm_restart``) drives one session per
+shard, so repair bandwidth scales with the *divergence* between the DHT
+view and ground truth instead of with total tracked content.
 """
 
 from repro.recon.diff import canonical_pairs, pair_multiset_diff

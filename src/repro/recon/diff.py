@@ -1,8 +1,8 @@
 """The canonical (hash, entity, count) multiset operations.
 
-This module is an import leaf (NumPy only): the engine, the join
-cutover, the warm-restart delta and the recon protocol all reconcile
-through these two functions, so there is exactly one definition of
+This module is an import leaf (NumPy only): the join cutover and the
+recon protocol (every repair and warm restart) reconcile through these
+two functions, so there is exactly one definition of
 "what it means for two content views to differ".
 """
 

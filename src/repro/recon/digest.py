@@ -14,7 +14,9 @@ pin the end state regardless.
 The sorted hash column is exactly what the columnar
 :class:`~repro.dht.table.LocalDHT` already maintains (PR 1), so
 building a digest is one vectorized pass; :class:`DigestCache` keys it
-by shard epoch so steady-state reconciliations reuse it for free.
+by shard epoch so steady-state reconciliations reuse it for free.  The
+range methods are array-valued: the reconciliation descent summarizes a
+whole tree level with one call per side.
 """
 
 from __future__ import annotations
@@ -37,7 +39,11 @@ class PairSetDigest:
     """Range-digestable view of canonical (hash, entity, count) rows.
 
     ``h`` must be sorted ascending (ties broken by entity, as
-    :func:`repro.recon.diff.canonical_pairs` emits them).
+    :func:`repro.recon.diff.canonical_pairs` emits them).  The range
+    methods take arrays of ranges and answer them all with one
+    ``searchsorted`` per bound.  A range is given by its first hash
+    ``lo`` and its *last* hash ``last`` (inclusive), so the top of the
+    u64 space needs no 65-bit bound.
     """
 
     __slots__ = ("h", "e", "c", "_csum")
@@ -46,12 +52,13 @@ class PairSetDigest:
         self.h = np.asarray(h, dtype=_U64)
         self.e = np.asarray(e, dtype=np.int64)
         self.c = np.asarray(c, dtype=np.int64)
+        # _csum[k] = sum of the first k row keys (mod 2^64), so a range
+        # digest is one subtraction with no empty-prefix special case.
+        self._csum = np.zeros(len(self.h) + 1, dtype=_U64)
         if len(self.h):
             key = mix64(self.h ^ mix64(
                 (self.e.astype(_U64) << _U64(32)) ^ self.c.astype(_U64)))
-            self._csum = np.cumsum(key, dtype=_U64)
-        else:
-            self._csum = np.empty(0, dtype=_U64)
+            np.cumsum(key, dtype=_U64, out=self._csum[1:])
 
     def __len__(self) -> int:
         return len(self.h)
@@ -60,25 +67,27 @@ class PairSetDigest:
     def total_count(self) -> int:
         return int(self.c.sum()) if len(self.c) else 0
 
-    def _bounds(self, lo: int, hi: int) -> tuple[int, int]:
-        i = int(np.searchsorted(self.h, _U64(lo), side="left")) if lo else 0
-        j = (len(self.h) if hi >= HASH_SPACE
-             else int(np.searchsorted(self.h, _U64(hi), side="left")))
+    def _bounds(self, lo, last) -> tuple[np.ndarray, np.ndarray]:
+        i = np.searchsorted(self.h, np.asarray(lo, dtype=_U64), side="left")
+        j = np.searchsorted(self.h, np.asarray(last, dtype=_U64),
+                            side="right")
         return i, j
 
-    def range_summary(self, lo: int, hi: int) -> tuple[int, int]:
-        """``(n_rows, digest)`` of the rows with hash in ``[lo, hi)``."""
-        i, j = self._bounds(lo, hi)
-        if j <= i:
-            return 0, 0
-        d = int(self._csum[j - 1]) - (int(self._csum[i - 1]) if i else 0)
-        return j - i, d & (HASH_SPACE - 1)
+    def range_summaries(self, lo, last) -> tuple[np.ndarray, np.ndarray]:
+        """``(n_rows, digest)`` arrays of the rows with hash in each
+        ``[lo[k], last[k]]``; an empty range summarizes to ``(0, 0)``."""
+        i, j = self._bounds(lo, last)
+        return j - i, self._csum[j] - self._csum[i]
 
-    def range_rows(self, lo: int, hi: int) \
+    def range_rows(self, lo, last) \
             -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The canonical rows with hash in ``[lo, hi)`` (shared views)."""
-        i, j = self._bounds(lo, hi)
-        return self.h[i:j], self.e[i:j], self.c[i:j]
+        """The rows with hash in the disjoint ranges ``[lo[k], last[k]]``:
+        each range's rows in canonical order, range after range in the
+        order given, gathered with one fancy index per column."""
+        i, j = self._bounds(lo, last)
+        n = j - i
+        idx = np.repeat(i - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        return self.h[idx], self.e[idx], self.c[idx]
 
 
 class DigestCache:

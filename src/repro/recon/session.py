@@ -19,7 +19,7 @@ Every message is a real :class:`~repro.util.records.Message` with UDP
 and ConCORD header overhead, so bytes-on-wire scales with the
 *divergence* (differing subtrees + leaf rows), not with total content —
 the property the ``repair.bytes_vs_divergence`` bench pins against the
-linear full-rebuild replay.
+modelled cost of a linear full-rebuild replay.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.recon.diff import pair_multiset_diff
+from repro.recon.diff import _empty_triplet, pair_multiset_diff
 from repro.recon.digest import HASH_SPACE, PairSetDigest
 from repro.util.records import (ENTITY_ID_BYTES, HASH_BYTES, Message,
                                 MsgKind)
@@ -38,6 +38,8 @@ __all__ = [
     "ReconReport", "ReconSession", "DigestExchange", "PairExchange",
     "DIGEST_ENTRY_BYTES", "PAIR_ENTRY_BYTES",
 ]
+
+_U64 = np.uint64
 
 #: One frontier range summary on the wire: 8 B digest + 4 B row count +
 #: 2 B range tag (child index within the parent, per the prefix scheme).
@@ -125,38 +127,48 @@ class ReconSession:
                                   self.src_node, n_entries=n_entries))
 
     def run(self) -> ReconReport:
-        frontier: list[tuple[int, int]] = [(0, HASH_SPACE)]
-        leaves: list[tuple[int, int]] = []
-        ranges_compared = 0
-        while frontier:
-            self._digest_round(len(frontier))
-            nxt: list[tuple[int, int]] = []
-            for lo, hi in frontier:
-                ranges_compared += 1
-                nl, dl = self.local.range_summary(lo, hi)
-                nr, dr = self.remote.range_summary(lo, hi)
-                if nl == nr and dl == dr:
-                    continue
-                width = hi - lo
-                # One side empty: the whole subtree differs, so further
-                # digest rounds cannot prune anything — ship it now.
-                if (min(nl, nr) == 0
-                        or max(nl, nr) <= self.leaf_limit
-                        or width <= self.branching):
-                    leaves.append((lo, hi))
-                    continue
-                step = width // self.branching
-                nxt.extend((lo + k * step, lo + (k + 1) * step)
-                           for k in range(self.branching))
-            frontier = nxt
+        """Descend one tree level per digest round.
 
-        leaves.sort()
-        loc = [self.local.range_rows(lo, hi) for lo, hi in leaves]
-        rmt = [self.remote.range_rows(lo, hi) for lo, hi in leaves]
-        lh, le, lc = _concat(loc)
-        rh, re, rc = _concat(rmt)
-        ins, rem = pair_multiset_diff(lh, le, lc, rh, re, want_c=rc)
-        if leaves:
+        Every range on a level has the same width (the root's divided by
+        ``branching`` per level), so the frontier is just a u64 array of
+        range starts: one array call per side summarizes the level, and
+        the prune / leaf / split rule is a pair of masks.
+        """
+        starts = np.zeros(1, dtype=_U64)
+        width = HASH_SPACE
+        leaf_lo: list[np.ndarray] = []
+        leaf_last: list[np.ndarray] = []
+        ranges_compared = 0
+        while len(starts):
+            self._digest_round(len(starts))
+            ranges_compared += len(starts)
+            last = starts + _U64(width - 1)
+            nl, dl = self.local.range_summaries(starts, last)
+            nr, dr = self.remote.range_summaries(starts, last)
+            differ = (nl != nr) | (dl != dr)
+            if not differ.any():
+                break
+            # A differing range is shipped as a leaf once it is small
+            # enough, or when one side is empty: then the whole subtree
+            # differs and further digest rounds cannot prune anything.
+            leaf = differ & ((np.minimum(nl, nr) == 0)
+                             | (np.maximum(nl, nr) <= self.leaf_limit)
+                             | (width <= self.branching))
+            if leaf.any():
+                leaf_lo.append(starts[leaf])
+                leaf_last.append(last[leaf])
+            width //= self.branching
+            offsets = np.arange(self.branching, dtype=_U64) * _U64(width)
+            starts = (starts[differ & ~leaf][:, None] + offsets).ravel()
+
+        ins = rem = _empty_triplet()
+        leaves = 0
+        if leaf_lo:
+            lo, last = np.concatenate(leaf_lo), np.concatenate(leaf_last)
+            leaves = len(lo)
+            lh, le, lc = self.local.range_rows(lo, last)
+            rh, re, rc = self.remote.range_rows(lo, last)
+            ins, rem = pair_multiset_diff(lh, le, lc, rh, re, want_c=rc)
             self.rounds += 1
             self._send(PairExchange(MsgKind.HASH_EXCHANGE, self.src_node,
                                     self.dst_node, n_pairs=len(lh)))
@@ -165,13 +177,4 @@ class ReconSession:
                                     n_pairs=len(ins[0]) + len(rem[0])))
         return ReconReport(bytes_wire=self.bytes_wire, rounds=self.rounds,
                            ranges_compared=ranges_compared,
-                           leaves_shipped=len(leaves), ins=ins, rem=rem)
-
-
-def _concat(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]):
-    if not parts:
-        return (np.empty(0, dtype=np.uint64),
-                np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    return (np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-            np.concatenate([p[2] for p in parts]))
+                           leaves_shipped=leaves, ins=ins, rem=rem)

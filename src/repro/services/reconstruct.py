@@ -183,7 +183,3 @@ class CollectiveReconstruction(ServiceCallbacks):
                     return (self.backing.shared.read(payload)
                             if kind == "ptr" else payload)
         raise KeyError(f"hash {want_hash:#x} in neither live memory nor store")
-
-    def attach_handled(self, handled_map: dict[int, Any]) -> None:
-        """Called by the runner after the command to expose shipped blocks."""
-        self._handled_map = handled_map

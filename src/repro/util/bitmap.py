@@ -134,13 +134,6 @@ class EntityBitmap:
         a, b = self._aligned(other)
         return bool(np.any(a & b))
 
-    def intersects_ids(self, entity_ids: np.ndarray) -> bool:
-        """True if any of the given entity IDs is a member."""
-        for eid in entity_ids:
-            if int(eid) in self:
-                return True
-        return False
-
     def members_among(self, entity_ids: Iterable[int]) -> list[int]:
         """Subset of ``entity_ids`` that are members, preserving order."""
         return [eid for eid in entity_ids if eid in self]

@@ -132,6 +132,47 @@ class TestRepair:
         assert report.ranges_repaired == 4
         assert {h: eng.lookup_mask(h) for h in before} == before
 
+    def test_repair_touches_only_holed_ranges(self):
+        """Default repair reconciles the non-intact ranges only: damage
+        inside an intact range stays until a full pass."""
+        _cluster, ents, concord = make_tracked()
+        eng = concord.tracing
+        before = {int(h): eng.lookup_mask(int(h))
+                  for h in all_hashes(ents).tolist()}
+        # Silent damage in intact range 0: the intact flags never see it.
+        shard0 = eng.shards[0]
+        hs, _lo, _wide = shard0.items_arrays()
+        victim = int(hs[eng.partition.primary_nodes(hs) == 0][0])
+        shard0.retain(hs != np.uint64(victim))
+        eng.bump_all_epochs()
+        concord.fail_node(2)
+        concord.restart_node(2)
+        assert concord.coverage == pytest.approx(3 / 4)
+        prim = eng.partition.primary_nodes(all_hashes(ents)).tolist()
+        intact = {h: eng.lookup_mask(h)
+                  for h, p in zip(before, prim) if p != 2}
+        holed = {h: m for (h, m), p in zip(before.items(), prim) if p == 2}
+        report = concord.repair()
+        assert report.ranges_repaired == 1
+        assert concord.coverage == 1.0
+        assert {h: eng.lookup_mask(h) for h in intact} == intact
+        assert eng.lookup_mask(victim) == 0      # intact range untouched
+        assert {h: eng.lookup_mask(h) for h in holed} == holed
+        report = concord.repair(full=True)
+        assert report.ranges_repaired == 4
+        assert {h: eng.lookup_mask(h) for h in before} == before
+
+    def test_removed_repair_arguments_name_the_replacement(self):
+        _cluster, _ents, concord = make_tracked()
+        with pytest.raises(TypeError, match=r"repair\(full=True\)"):
+            concord.repair(delta=True)
+        with pytest.raises(TypeError, match=r"repair\(full=True\)"):
+            concord.tracing.repair(full=True, delta=True)
+        with pytest.raises(TypeError, match=r"call warm_restart\(\)"):
+            concord.warm_restart(mode="delta")
+        with pytest.raises(TypeError, match=r"call warm_restart\(\)"):
+            concord.warm_restart(mode="recon")
+
     def test_dead_entities_do_not_reappear(self):
         """Entities hosted on a dead node contribute nothing to repair:
         their memory is gone with the node."""

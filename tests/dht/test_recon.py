@@ -5,6 +5,8 @@ session protocol, and the engine's recon repair path end to end.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Cluster, ConCORD, ConCORDConfig, Entity
 from repro.recon import (DigestCache, HASH_SPACE, PairSetDigest,
@@ -89,36 +91,62 @@ class TestPairMultisetDiff:
         assert as_set(rem) == set()
 
 
+def summary(d, lo, hi):
+    """Scalar ``(n_rows, digest)`` of ``[lo, hi)`` via the array form."""
+    n, g = d.range_summaries(np.array([lo], dtype=U64),
+                             np.array([hi - 1], dtype=U64))
+    return int(n[0]), int(g[0])
+
+
 class TestPairSetDigest:
     def test_range_summary_partitions(self):
         rng = np.random.default_rng(3)
         h = np.sort(rng.integers(0, HASH_SPACE, 500, dtype=U64))
         d = PairSetDigest(*canonical_pairs(h, np.zeros(500, dtype=I64)))
-        whole = d.range_summary(0, HASH_SPACE)
+        whole = summary(d, 0, HASH_SPACE)
         mid = HASH_SPACE // 2
-        n1, g1 = d.range_summary(0, mid)
-        n2, g2 = d.range_summary(mid, HASH_SPACE)
+        n1, g1 = summary(d, 0, mid)
+        n2, g2 = summary(d, mid, HASH_SPACE)
         assert n1 + n2 == whole[0] == len(d)
         assert (g1 + g2) & (HASH_SPACE - 1) == whole[1]
 
     def test_single_copy_flip_changes_digest(self):
         a = PairSetDigest(*rows((10, 1, 2), (20, 2, 1)))
         b = PairSetDigest(*rows((10, 1, 3), (20, 2, 1)))
-        assert a.range_summary(0, HASH_SPACE) != b.range_summary(
-            0, HASH_SPACE)
+        assert summary(a, 0, HASH_SPACE) != summary(b, 0, HASH_SPACE)
         # The untouched subrange still agrees.
-        assert a.range_summary(15, 30) == b.range_summary(15, 30)
+        assert summary(a, 15, 30) == summary(b, 15, 30)
 
     def test_boundary_rows_included(self):
         top = HASH_SPACE - 1
         d = PairSetDigest(*rows((0, 1, 1), (top, 1, 1)))
-        assert d.range_summary(0, HASH_SPACE)[0] == 2
-        assert d.range_summary(top, HASH_SPACE)[0] == 1
+        assert summary(d, 0, HASH_SPACE)[0] == 2
+        assert summary(d, top, HASH_SPACE)[0] == 1
 
     def test_empty(self):
         d = PairSetDigest(*rows())
         assert len(d) == 0 and d.total_count == 0
-        assert d.range_summary(0, HASH_SPACE) == (0, 0)
+        assert summary(d, 0, HASH_SPACE) == (0, 0)
+
+    def test_array_summaries_match_one_by_one(self):
+        rng = np.random.default_rng(4)
+        h = np.sort(rng.integers(0, HASH_SPACE, 300, dtype=U64))
+        d = PairSetDigest(*canonical_pairs(h, rng.integers(0, 9, 300)))
+        cuts = np.sort(rng.integers(1, HASH_SPACE, 20, dtype=U64))
+        lo = np.concatenate([[U64(0)], cuts])
+        last = np.concatenate([cuts - U64(1), [U64(HASH_SPACE - 1)]])
+        n, g = d.range_summaries(lo, last)
+        assert [(int(a), int(b)) for a, b in zip(n, g)] == [
+            summary(d, int(x), int(y) + 1) for x, y in zip(lo, last)]
+        assert int(n.sum()) == len(d)
+
+    def test_range_rows_gathers_disjoint_ranges_in_order(self):
+        d = PairSetDigest(*rows((1, 1, 1), (5, 2, 2), (9, 1, 1), (12, 3, 1),
+                                (HASH_SPACE - 1, 4, 1)))
+        h, e, c = d.range_rows(np.array([0, 9, 20], dtype=U64),
+                               np.array([5, 11, HASH_SPACE - 1], dtype=U64))
+        assert h.tolist() == [1, 5, 9, HASH_SPACE - 1]
+        assert e.tolist() == [1, 2, 1, 4] and c.tolist() == [1, 2, 1, 1]
 
     def test_cache_epoch_invalidation(self):
         cache = DigestCache()
@@ -193,6 +221,105 @@ class TestReconSession:
         assert small < big
 
 
+def golden_pair(seed, n, div, span):
+    """A seeded (local, remote) canonical row pair: ``div`` of the rows
+    dropped on the remote side plus ``n // 50`` extra copies there."""
+    rng = np.random.default_rng(seed)
+    h = rng.integers(0, span, n, dtype=U64)
+    base = canonical_pairs(h, rng.integers(0, 8, n))
+    keep = rng.random(len(base[0])) >= div
+    extra = n // 50
+    other = canonical_pairs(
+        np.concatenate([base[0][keep], h[:extra]]),
+        np.concatenate([base[1][keep], np.full(extra, 9)]),
+        np.concatenate([base[2][keep], np.ones(extra, dtype=I64)]))
+    return base, other
+
+
+class TestReconSessionGolden:
+    """Wire cost and descent shape pinned to the values the per-range
+    scalar descent produced: the level-vectorised descent must visit
+    exactly the same ranges."""
+
+    @pytest.mark.parametrize(
+        "seed, n, div, span, branching, leaf_limit, want", [
+            (1, 500, 0.02, HASH_SPACE, 16, 8, (6428, 4, 177, 18)),
+            (2, 2000, 0.1, HASH_SPACE, 16, 8, (50420, 5, 1313, 193)),
+            (3, 300, 0.5, HASH_SPACE, 2, 1, (35316, 65, 829, 116)),
+            (4, 1000, 0.05, HASH_SPACE, 4, 3, (16206, 9, 453, 63)),
+            (5, 400, 1.0, HASH_SPACE, 16, 8, (14492, 4, 97, 73)),
+            (6, 800, 0.05, 5000, 16, 8, (18912, 17, 513, 42)),
+            (7, 600, 0.2, 5000, 2, 1, (41532, 65, 1055, 140)),
+        ])
+    def test_golden(self, seed, n, div, span, branching, leaf_limit, want):
+        local, remote = golden_pair(seed, n, div, span)
+        r = ReconSession(PairSetDigest(*local), PairSetDigest(*remote),
+                         branching=branching, leaf_limit=leaf_limit).run()
+        assert (r.bytes_wire, r.rounds, r.ranges_compared,
+                r.leaves_shipped) == want
+
+
+# Hashes biased to the edges of the space and to tiny clusters, where
+# the descent runs deepest and the top range bound matters.
+_hash = st.one_of(st.integers(0, 64), st.integers(HASH_SPACE - 64,
+                                                  HASH_SPACE - 1),
+                  st.integers(0, HASH_SPACE - 1))
+_row = st.tuples(_hash, st.integers(0, 5), st.integers(1, 3))
+
+
+def reference_descent(local, remote, branching, leaf_limit):
+    """The per-range loop the level-vectorised descent replaced.
+    Returns (rounds, ranges_compared, leaves)."""
+    frontier, leaves, rounds, compared = [(0, HASH_SPACE)], [], 0, 0
+    while frontier:
+        rounds += 1
+        nxt = []
+        for lo, hi in frontier:
+            compared += 1
+            (nl, dl), (nr, dr) = summary(local, lo, hi), summary(remote, lo, hi)
+            if (nl, dl) == (nr, dr):
+                continue
+            if (min(nl, nr) == 0 or max(nl, nr) <= leaf_limit
+                    or hi - lo <= branching):
+                leaves.append((lo, hi))
+                continue
+            step = (hi - lo) // branching
+            nxt.extend((lo + k * step, lo + (k + 1) * step)
+                       for k in range(branching))
+        frontier = nxt
+    return rounds + bool(leaves), compared, sorted(leaves)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_row, max_size=60), st.lists(_row, max_size=60),
+       st.sampled_from([2, 4, 16]), st.integers(1, 8))
+def test_descent_matches_per_range_reference(local, remote, branching,
+                                             leaf_limit):
+    ld, rd = PairSetDigest(*rows(*local)), PairSetDigest(*rows(*remote))
+    report = ReconSession(ld, rd, branching=branching,
+                          leaf_limit=leaf_limit).run()
+    rounds, compared, leaves = reference_descent(ld, rd, branching,
+                                                 leaf_limit)
+    assert (report.rounds, report.ranges_compared,
+            report.leaves_shipped) == (rounds, compared, len(leaves))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_row, max_size=60), st.lists(_row, max_size=60),
+       st.sampled_from([2, 4, 16]), st.integers(1, 8))
+def test_session_diff_equals_whole_set_diff(local, remote, branching,
+                                            leaf_limit):
+    """Descent only prunes equal subtrees, so the session's ops are the
+    pair-multiset diff of the two whole sets."""
+    lr, rr = rows(*local), rows(*remote)
+    report = ReconSession(PairSetDigest(*lr), PairSetDigest(*rr),
+                          branching=branching,
+                          leaf_limit=leaf_limit).run()
+    ins, rem = pair_multiset_diff(*lr, *rr[:2], want_c=rr[2])
+    for got, want in ((report.ins, ins), (report.rem, rem)):
+        assert [a.tolist() for a in got] == [b.tolist() for b in want]
+
+
 class TestEngineReconRepair:
     def _system(self, seed=0):
         cluster = Cluster(4, seed=seed)
@@ -241,7 +368,8 @@ class TestEngineReconRepair:
         _cluster, _ents, concord = self._system()
         with pytest.raises(ValueError):
             concord.repair(mode="bogus")
-        with pytest.raises(ValueError):
+        # warm_restart has no modes left: it always reconciles every range.
+        with pytest.raises(TypeError, match=r"call warm_restart\(\)"):
             concord.warm_restart(mode="bogus")
 
     def test_recon_over_network_converges(self):

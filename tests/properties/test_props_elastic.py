@@ -147,7 +147,6 @@ class TestJoinConvergenceProperty:
             fresh = bring_up(cluster, workers=1, placement=placement)
             try:
                 fresh.initial_scan()
-                fresh.repair(full=True)
                 want = shard_states(fresh)
             finally:
                 fresh.close()
