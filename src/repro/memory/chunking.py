@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.memory.pagedata import intern_chunk, materialize_page
+from repro.memory.pagedata import intern_chunk, materialize_pages
 
 __all__ = ["ContentChunker", "make_chunker", "WINDOW"]
 
@@ -130,8 +130,7 @@ class ContentChunker:
         ``(chunk_ids, chunk_sizes)`` — the IDs are interned, so the DHT
         rows they produce are stable across processes and restarts.
         """
-        stream = b"".join(materialize_page(int(cid), page_size)
-                          for cid in np.asarray(pages, dtype=_U64).tolist())
+        stream = b"".join(materialize_pages(pages, page_size))
         chunks = self.chunk_bytes(stream)
         ids = np.fromiter((intern_chunk(ch) for ch in chunks),
                           dtype=_U64, count=len(chunks))

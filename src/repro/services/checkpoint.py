@@ -20,9 +20,11 @@ the identity under arbitrary staleness.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Any
 
@@ -32,10 +34,11 @@ from repro.core.command import ExecMode, NodeContext, ServiceCallbacks
 from repro.core.scope import EntityRole
 from repro.memory.entity import Entity
 from repro.memory.nsm import BlockRef
-from repro.memory.pagedata import (intern_chunk, is_interned_id,
-                                   materialize_page, register_chunk)
+from repro.memory.pagedata import (intern_chunk, interned_mask,
+                                   is_interned_id, materialize_pages,
+                                   register_chunk)
 from repro.sim.cluster import Cluster
-from repro.util.hashing import page_hash
+from repro.util.hashing import page_hashes
 
 __all__ = [
     "SharedContentFile",
@@ -50,6 +53,24 @@ __all__ = [
 _PTR_RECORD_BYTES = 4 + 8 + 8        # page idx, hash, shared-file offset
 _DATA_RECORD_HEADER = 4 + 8 + 4      # page idx, hash, length
 _FILE_HEADER_BYTES = 32
+
+#: Pages rendered per ``write`` (and blocks per ``read``) when a container
+#: streams its pages: at most 1 MiB of 4 KiB pages in flight.
+IO_CHUNK_PAGES = 256
+
+# On-disk layouts (little-endian, packed).
+_SHARED_HEADER = struct.Struct("<4sIQ")   # magic, page_size, n_blocks
+_SE_HEADER = struct.Struct("<4sIIQ")      # magic, entity, page_size, n_records
+_BLOCK_V2 = struct.Struct("<QI")          # v2 shared block: id, length
+_DATA_V1 = struct.Struct("<BIQI")         # 1, page idx, hash, length
+_DATA_V2 = struct.Struct("<BIQQI")        # 1, page idx, hash, id, length
+#: A pointer record, ``<BIQQ``: kind 0, page idx, hash, shared offset.
+_PTR = np.dtype([("kind", "u1"), ("idx", "<u4"), ("hash", "<u8"),
+                 ("off", "<u8")])
+_MIN_RECORD = _DATA_V1.size               # smallest record: empty v1 data
+
+_KIND_CODES = {"ptr": 0, "data": 1}
+_KIND_NAMES = ("ptr", "data")
 
 
 class SharedContentFile:
@@ -75,6 +96,16 @@ class SharedContentFile:
         self.blocks.append(int(content_id))
         self._offset_of[h] = offset
         return offset
+
+    @classmethod
+    def from_blocks(cls, page_size: int, hashes: np.ndarray,
+                    content_ids: np.ndarray) -> SharedContentFile:
+        """A file holding ``content_ids`` in order, keyed by ``hashes``
+        (which must be distinct: see :meth:`append`)."""
+        f = cls(page_size)
+        f.blocks = content_ids.tolist()
+        f._offset_of = dict(zip(hashes.tolist(), range(len(f.blocks))))
+        return f
 
     def offset_of(self, content_hash: int) -> int | None:
         return self._offset_of.get(int(content_hash))
@@ -210,28 +241,25 @@ class CheckpointStore:
 
     def gzip_sizes_real(self) -> tuple[int, int]:
         """(raw+gzip, concord+gzip) with real zlib over materialized bytes."""
-        raw_parts = []
-        shared_parts = [materialize_page(cid, self.page_size,
-                                         self.compress_fraction)
-                        for cid in self.shared.blocks]
-        leftover_parts = []
+        raw_ids, leftover_ids = [], []
         for f in self.se_files.values():
-            for rec in f.records:
-                kind, _idx, _h, payload = rec
+            for kind, _idx, _h, payload in f.records:
                 if kind == "data":
-                    page = materialize_page(payload, self.page_size,
-                                            self.compress_fraction)
-                    raw_parts.append(page)
-                    leftover_parts.append(page)
+                    raw_ids.append(payload)
+                    leftover_ids.append(payload)
                 else:
-                    raw_parts.append(
-                        materialize_page(self.shared.read(payload),
-                                         self.page_size,
-                                         self.compress_fraction))
-        raw_gzip = len(zlib.compress(b"".join(raw_parts), 6))
+                    raw_ids.append(self.shared.read(payload))
+
+        def render(ids: list[int]) -> bytes:
+            return b"".join(materialize_pages(
+                np.asarray(ids, dtype=np.uint64), self.page_size,
+                self.compress_fraction))
+
+        raw_gzip = len(zlib.compress(render(raw_ids), 6))
         ptr_bytes = sum(f.n_pointer_records * _PTR_RECORD_BYTES
                         for f in self.se_files.values())
-        concord_gzip = (len(zlib.compress(b"".join(shared_parts + leftover_parts), 6))
+        concord_gzip = (len(zlib.compress(render(self.shared.blocks)
+                                          + render(leftover_ids), 6))
                         + ptr_bytes)
         return raw_gzip, concord_gzip
 
@@ -248,25 +276,19 @@ class CheckpointStore:
     _SE_MAGIC = b"CCSE"
     _SE_MAGIC_V2 = b"CCE2"
 
-    def _record_cid(self, kind: str, payload: int) -> int:
-        if kind == "ptr":
-            return self.shared.read(payload)
-        if kind == "data":
-            return int(payload)
-        raise ValueError(
-            f"record kind {kind!r} (incremental checkpoints"
-            " serialize with their chain, not standalone)")
-
-    def _canonical_blocks(self) -> list[tuple[int, int]]:
-        """(hash, content id) of every block any record references, sorted
-        by hash.  Blocks appended collectively but never referenced by a
-        record (stale handled hashes) are garbage-collected."""
-        by_hash: dict[int, int] = {}
-        for f in self.se_files.values():
-            for kind, _idx, h, payload in f.records:
-                if h not in by_hash:
-                    by_hash[h] = self._record_cid(kind, payload)
-        return sorted(by_hash.items())
+    def _canonical_blocks(self, columns: dict[int, tuple]) \
+            -> tuple[np.ndarray, np.ndarray]:
+        """(hashes, content ids) of every block any record references,
+        sorted by hash.  Blocks appended collectively but never referenced
+        by a record (stale handled hashes) are garbage-collected."""
+        empty = np.empty(0, dtype=np.uint64)
+        hashes = np.concatenate(
+            [empty] + [h for _kind, _idx, h, _payload in columns.values()])
+        cids = np.concatenate([empty] + [
+            _record_ids(self.shared, kind, payload)
+            for kind, _idx, _h, payload in columns.values()])
+        hashes, first = np.unique(hashes, return_index=True)
+        return hashes, cids[first]
 
     def write_to_dir(self, path: str | Path, canonical: bool = False) -> None:
         """Materialize real bytes and write the checkpoint to a directory.
@@ -284,60 +306,70 @@ class CheckpointStore:
         """
         d = Path(path)
         d.mkdir(parents=True, exist_ok=True)
+        columns = {eid: _record_columns(f.records)
+                   for eid, f in self.se_files.items()}
         if canonical:
-            blocks = self._canonical_blocks()
-            offset_of = {h: i for i, (h, _cid) in enumerate(blocks)}
-            self._write_shared(d / "shared.bin",
-                               [cid for _h, cid in blocks])
-            for eid in sorted(self.se_files):
-                f = self.se_files[eid]
-                with open(d / f"entity_{eid}.ckpt", "wb") as fh:
-                    fh.write(self._SE_MAGIC)
-                    fh.write(struct.pack("<IIQ", eid, self.page_size,
-                                         len(f.records)))
-                    for kind, idx, h, payload in sorted(
-                            f.records, key=lambda r: r[1]):
-                        self._record_cid(kind, payload)  # validate kind
-                        fh.write(struct.pack("<BIQQ", 0, idx, h,
-                                             offset_of[h]))
+            hashes, cids = self._canonical_blocks(columns)
+            self._write_shared(d / "shared.bin", cids)
+            for eid in sorted(columns):
+                _kind, idx, h, _payload = columns[eid]
+                order = np.argsort(idx, kind="stable")
+                h = h[order]
+                self._write_se(d / f"entity_{eid}.ckpt", eid, False,
+                               np.zeros(len(h), dtype=np.uint8), idx[order],
+                               h, np.searchsorted(hashes, h))
             return
-        self._write_shared(d / "shared.bin", self.shared.blocks)
-        for eid, f in self.se_files.items():
-            v2 = any(kind == "data" and is_interned_id(payload)
-                     for kind, _idx, _h, payload in f.records)
-            with open(d / f"entity_{eid}.ckpt", "wb") as fh:
-                fh.write(self._SE_MAGIC_V2 if v2 else self._SE_MAGIC)
-                fh.write(struct.pack("<IIQ", eid, self.page_size,
-                                     len(f.records)))
-                for kind, idx, h, payload in f.records:
-                    if kind == "ptr":
-                        fh.write(struct.pack("<BIQQ", 0, idx, h, payload))
-                    elif kind == "data":
-                        page = materialize_page(payload, self.page_size,
-                                                self.compress_fraction)
-                        if v2:
-                            fh.write(struct.pack("<BIQQI", 1, idx, h,
-                                                 int(payload), len(page)))
-                        else:
-                            fh.write(struct.pack("<BIQI", 1, idx, h,
-                                                 len(page)))
-                        fh.write(page)
-                    else:
-                        raise ValueError(
-                            f"record kind {kind!r} (incremental checkpoints"
-                            " serialize with their chain, not standalone)")
+        self._write_shared(d / "shared.bin",
+                           np.asarray(self.shared.blocks, dtype=np.uint64))
+        for eid, (kind, idx, h, payload) in columns.items():
+            v2 = bool(interned_mask(payload[kind == 1]).any())
+            self._write_se(d / f"entity_{eid}.ckpt", eid, v2, kind, idx, h,
+                           payload)
 
-    def _write_shared(self, path: Path, cids: list[int]) -> None:
-        v2 = any(is_interned_id(c) for c in cids)
+    def _write_shared(self, path: Path, cids: np.ndarray) -> None:
+        v2 = bool(interned_mask(cids).any())
         with open(path, "wb") as fh:
-            fh.write(self._SHARED_MAGIC_V2 if v2 else self._SHARED_MAGIC)
-            fh.write(struct.pack("<IQ", self.page_size, len(cids)))
-            for cid in cids:
-                page = materialize_page(cid, self.page_size,
-                                        self.compress_fraction)
+            fh.write(_SHARED_HEADER.pack(
+                self._SHARED_MAGIC_V2 if v2 else self._SHARED_MAGIC,
+                self.page_size, len(cids)))
+            for lo in range(0, len(cids), IO_CHUNK_PAGES):
+                chunk = cids[lo:lo + IO_CHUNK_PAGES]
+                pages = materialize_pages(chunk, self.page_size,
+                                          self.compress_fraction)
                 if v2:
-                    fh.write(struct.pack("<QI", int(cid), len(page)))
-                fh.write(page)
+                    pages = [_BLOCK_V2.pack(c, len(p)) + p
+                             for c, p in zip(chunk.tolist(), pages)]
+                fh.write(b"".join(pages))
+
+    def _write_se(self, path: Path, eid: int, v2: bool, kind: np.ndarray,
+                  idx: np.ndarray, h: np.ndarray, payload: np.ndarray) -> None:
+        """Encode one SE file: pointer records through the packed ``_PTR``
+        dtype, literal records spliced in at their positions with their
+        pages rendered ``IO_CHUNK_PAGES`` at a time."""
+        recs = np.empty(len(kind), dtype=_PTR)
+        recs["kind"], recs["idx"], recs["hash"], recs["off"] = \
+            kind, idx, h, payload
+        data_at = np.flatnonzero(kind).tolist()
+        with open(path, "wb") as fh:
+            fh.write(_SE_HEADER.pack(
+                self._SE_MAGIC_V2 if v2 else self._SE_MAGIC, eid,
+                self.page_size, len(kind)))
+            done = 0                # records encoded so far
+            for lo in range(0, len(data_at), IO_CHUNK_PAGES):
+                at = data_at[lo:lo + IO_CHUNK_PAGES]
+                pages = materialize_pages(payload[at], self.page_size,
+                                          self.compress_fraction)
+                parts = []
+                for i, page, (_k, page_idx, ph, cid) in zip(
+                        at, pages, recs[at].tolist()):
+                    parts.append(recs[done:i].tobytes())
+                    parts.append(
+                        _DATA_V2.pack(1, page_idx, ph, cid, len(page)) if v2
+                        else _DATA_V1.pack(1, page_idx, ph, len(page)))
+                    parts.append(page)
+                    done = i + 1
+                fh.write(b"".join(parts))
+            fh.write(recs[done:].tobytes())
 
     @classmethod
     def load_from_dir(cls, path: str | Path,
@@ -346,53 +378,235 @@ class CheckpointStore:
 
         v1 files recover each block's content ID from its page header;
         v2 files carry the ID explicitly and re-register interned chunk
-        bytes so :func:`materialize_page` renders them again.
+        bytes so :func:`materialize_page` renders them again.  Sizes and
+        record counts are checked before anything is decoded: a truncated
+        or malformed file, a block repeated in the shared file, or a
+        pointer past its end raises ``ValueError`` naming the file and
+        byte offset.
         """
         d = Path(path)
-        with open(d / "shared.bin", "rb") as fh:
-            magic = fh.read(4)
-            if magic not in (cls._SHARED_MAGIC, cls._SHARED_MAGIC_V2):
-                raise ValueError("bad shared content file magic")
-            v2 = magic == cls._SHARED_MAGIC_V2
-            page_size, n_blocks = struct.unpack("<IQ", fh.read(12))
-            store = cls(page_size, compress_fraction)
-            for _ in range(n_blocks):
-                if v2:
-                    cid, length = struct.unpack("<QI", fh.read(12))
-                    data = fh.read(length)
-                    if is_interned_id(cid):
-                        register_chunk(cid, data)
-                else:
-                    page = fh.read(page_size)
-                    cid = int.from_bytes(page[:8], "little")
-                store.shared.append(page_hash(cid), cid)
+        store = cls._load_shared(d / "shared.bin", compress_fraction)
         for ckpt in sorted(d.glob("entity_*.ckpt")):
-            with open(ckpt, "rb") as fh:
-                magic = fh.read(4)
-                if magic not in (cls._SE_MAGIC, cls._SE_MAGIC_V2):
-                    raise ValueError(f"bad SE file magic in {ckpt}")
-                se_v2 = magic == cls._SE_MAGIC_V2
-                eid, psize, n_records = struct.unpack("<IIQ", fh.read(16))
-                if psize != page_size:
-                    raise ValueError("page size mismatch between files")
-                f = store.se_file(eid)
-                for _ in range(n_records):
-                    kind = fh.read(1)[0]
-                    if kind == 0:
-                        idx, h, off = struct.unpack("<IQQ", fh.read(20))
-                        f.add_pointer(idx, h, off)
-                    elif se_v2:
-                        idx, h, cid, length = struct.unpack("<IQQI",
-                                                            fh.read(24))
-                        data = fh.read(length)
-                        if is_interned_id(cid):
-                            register_chunk(cid, data)
-                        f.add_data(idx, h, cid)
-                    else:
-                        idx, h, length = struct.unpack("<IQI", fh.read(16))
-                        page = fh.read(length)
-                        f.add_data(idx, h, int.from_bytes(page[:8], "little"))
+            store._load_se(ckpt)
         return store
+
+    @classmethod
+    def _load_shared(cls, path: Path,
+                     compress_fraction: float) -> CheckpointStore:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(_SHARED_HEADER.size)
+            if head[:4] not in (cls._SHARED_MAGIC, cls._SHARED_MAGIC_V2):
+                raise ValueError(f"{path}: bad shared content file magic")
+            if len(head) < _SHARED_HEADER.size:
+                raise _truncated(path, len(head), "file header")
+            magic, page_size, n_blocks = _SHARED_HEADER.unpack(head)
+            if page_size < 16:
+                raise ValueError(f"{path}: page size {page_size} at byte 4 "
+                                 "is below the 16-byte minimum")
+            v2 = magic == cls._SHARED_MAGIC_V2
+            body = size - len(head)
+            if (n_blocks * _BLOCK_V2.size > body if v2
+                    else n_blocks * page_size != body):
+                raise ValueError(
+                    f"{path}: header declares {n_blocks} blocks of "
+                    f"{page_size} bytes but the file ends at byte {size}")
+            if v2:
+                cids, starts, chunks = _read_blocks_v2(fh, path, n_blocks,
+                                                       size)
+            else:
+                cids = _read_ids_v1(fh, path, n_blocks, page_size)
+                starts = len(head) + page_size * np.arange(n_blocks)
+        repeat = _first_repeat(cids)
+        if repeat is not None:
+            first, again = repeat
+            raise ValueError(
+                f"{path}: block {again} at byte {starts[again]} repeats "
+                f"content {int(cids[again]):#x} of block {first} at byte "
+                f"{starts[first]}")
+        if v2:
+            for cid, data in chunks:
+                register_chunk(cid, data)
+        store = cls(page_size, compress_fraction)
+        store.shared = SharedContentFile.from_blocks(
+            page_size, page_hashes(cids), cids)
+        return store
+
+    def _load_se(self, path: Path) -> None:
+        buf = path.read_bytes()
+        if buf[:4] not in (self._SE_MAGIC, self._SE_MAGIC_V2):
+            raise ValueError(f"bad SE file magic in {path}")
+        if len(buf) < _SE_HEADER.size:
+            raise _truncated(path, len(buf), "file header")
+        magic, eid, psize, n_records = _SE_HEADER.unpack_from(buf)
+        if psize != self.page_size:
+            raise ValueError(f"{path}: page size mismatch between files")
+        if n_records * _MIN_RECORD > len(buf) - _SE_HEADER.size:
+            raise ValueError(
+                f"{path}: header declares {n_records} records but the file "
+                f"ends at byte {len(buf)}")
+        kind, idx, h, payload, chunks = _decode_se(
+            buf, n_records, magic == self._SE_MAGIC_V2, self.shared.n_blocks,
+            path)
+        for cid, data in chunks:
+            register_chunk(cid, data)
+        self.se_file(eid).records.extend(zip(
+            map(_KIND_NAMES.__getitem__, kind.tolist()), idx.tolist(),
+            h.tolist(), payload.tolist()))
+
+
+def _truncated(path: Path, offset: int, what: str) -> ValueError:
+    return ValueError(f"{path}: truncated at byte {offset} ({what})")
+
+
+def _first_repeat(values: np.ndarray) -> tuple[int, int] | None:
+    """(first, again): the earliest position whose value already occurred,
+    and that value's first position; None when all values are distinct."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    same = np.flatnonzero(ordered[1:] == ordered[:-1])
+    if not len(same):
+        return None
+    again = int(order[same + 1].min())
+    return int(np.argmax(values == values[again])), again
+
+
+def _read_ids_v1(fh, path: Path, n_blocks: int, page_size: int) -> np.ndarray:
+    """Block IDs of a v1 shared file, read ``IO_CHUNK_PAGES`` pages at a
+    time into one reused buffer: each ID is its page's first 8 bytes, a
+    strided column over the chunk."""
+    cids = np.empty(n_blocks, dtype=np.uint64)
+    chunk = bytearray(min(n_blocks, IO_CHUNK_PAGES) * page_size)
+    for lo in range(0, n_blocks, IO_CHUNK_PAGES):
+        k = min(IO_CHUNK_PAGES, n_blocks - lo)
+        if fh.readinto(memoryview(chunk)[:k * page_size]) < k * page_size:
+            raise _truncated(path, fh.tell(), f"block {lo}")
+        cids[lo:lo + k] = np.ndarray(k, dtype="<u8", buffer=chunk,
+                                     strides=page_size)
+    return cids
+
+
+def _read_blocks_v2(fh, path: Path, n_blocks: int, size: int):
+    """Walk a v2 shared file's length-prefixed blocks: (ids, byte offset
+    of each block, interned (id, bytes) to register)."""
+    cids = np.empty(n_blocks, dtype=np.uint64)
+    starts = np.empty(n_blocks, dtype=np.int64)
+    chunks = []
+    pos = _SHARED_HEADER.size
+    for i in range(n_blocks):
+        head = fh.read(_BLOCK_V2.size)
+        if len(head) < _BLOCK_V2.size:
+            raise _truncated(path, pos + len(head), f"block {i} header")
+        cid, length = _BLOCK_V2.unpack(head)
+        data = fh.read(length)
+        if len(data) < length:
+            raise _truncated(path, pos + len(head) + len(data),
+                             f"block {i} of {length} bytes")
+        if is_interned_id(cid):
+            chunks.append((cid, data))
+        cids[i], starts[i] = cid, pos
+        pos += len(head) + length
+    if pos != size:
+        raise ValueError(f"{path}: {size - pos} stray bytes after the last "
+                         f"block at byte {pos}")
+    return cids, starts, chunks
+
+
+def _decode_se(buf: bytes, n_records: int, v2: bool, n_blocks: int,
+               path: Path):
+    """Decode an SE file's records into (kind, idx, hash, payload) columns
+    plus the interned chunks to register; pointers must fall inside the
+    ``n_blocks`` of the shared file.
+
+    Runs of pointer records decode with one ``np.frombuffer`` each; a run
+    is found by testing kind bytes at the pointer stride over a window
+    that doubles while the run continues and resets after a literal
+    record, so each byte is examined a bounded number of times.
+    """
+    kind = np.zeros(n_records, dtype=np.uint8)
+    idx = np.empty(n_records, dtype=np.int64)
+    h = np.empty(n_records, dtype=np.uint64)
+    payload = np.empty(n_records, dtype=np.uint64)
+    chunks = []
+    data_head = _DATA_V2 if v2 else _DATA_V1
+    size, pos, i, window = len(buf), _SE_HEADER.size, 0, 64
+    while i < n_records:
+        if pos >= size:
+            raise _truncated(path, pos, f"record {i} of {n_records}")
+        if buf[pos] == 0:
+            w = min(window, n_records - i, (size - pos) // _PTR.itemsize)
+            if w == 0:
+                raise _truncated(path, size, f"pointer record {i}")
+            heads = np.frombuffer(buf, dtype=np.uint8, offset=pos,
+                                  count=(w - 1) * _PTR.itemsize + 1)
+            stop = np.flatnonzero(heads[::_PTR.itemsize])
+            r = int(stop[0]) if len(stop) else w
+            run = np.frombuffer(buf, dtype=_PTR, count=r, offset=pos)
+            past = np.flatnonzero(run["off"] >= n_blocks)
+            if len(past):
+                j = int(past[0])
+                raise ValueError(
+                    f"{path}: record {i + j} at byte "
+                    f"{pos + j * _PTR.itemsize} points at block "
+                    f"{int(run['off'][j])}, past the {n_blocks} blocks of "
+                    "the shared content file")
+            idx[i:i + r], h[i:i + r], payload[i:i + r] = \
+                run["idx"], run["hash"], run["off"]
+            window = 2 * window if r == w else 64
+            i, pos = i + r, pos + r * _PTR.itemsize
+        elif buf[pos] == 1:
+            if pos + data_head.size > size:
+                raise _truncated(path, size, f"data record {i} header")
+            if v2:
+                _k, page_idx, ph, cid, length = data_head.unpack_from(buf, pos)
+            else:
+                _k, page_idx, ph, length = data_head.unpack_from(buf, pos)
+            end = pos + data_head.size + length
+            if end > size:
+                raise _truncated(path, size, f"data record {i} of {length} "
+                                 f"bytes at byte {pos}")
+            data = buf[pos + data_head.size:end]
+            if not v2:
+                cid = int.from_bytes(data[:8], "little")
+            elif is_interned_id(cid):
+                chunks.append((cid, data))
+            kind[i], idx[i], h[i], payload[i] = 1, page_idx, ph, cid
+            i, pos = i + 1, end
+        else:
+            raise ValueError(f"{path}: bad record kind {buf[pos]} at byte "
+                             f"{pos}")
+    if pos != size:
+        raise ValueError(f"{path}: {size - pos} stray bytes after the last "
+                         f"record at byte {pos}")
+    return kind, idx, h, payload, chunks
+
+
+def _record_columns(records: list[tuple]) -> tuple[np.ndarray, ...]:
+    """(kind, idx, hash, payload) columns of an SE file's records; kind is
+    0 for a pointer and 1 for literal data."""
+    n = len(records)
+    kind, idx, h, payload = (itemgetter(i) for i in range(4))
+    try:
+        kinds = np.fromiter(map(_KIND_CODES.__getitem__, map(kind, records)),
+                            dtype=np.uint8, count=n)
+    except KeyError as err:
+        raise ValueError(
+            f"record kind {err.args[0]!r} (incremental checkpoints"
+            " serialize with their chain, not standalone)") from None
+    return (kinds, np.fromiter(map(idx, records), dtype=np.int64, count=n),
+            np.fromiter(map(h, records), dtype=np.uint64, count=n),
+            np.fromiter(map(payload, records), dtype=np.uint64, count=n))
+
+
+def _record_ids(shared: SharedContentFile, kind: np.ndarray,
+                payload: np.ndarray) -> np.ndarray:
+    """Content ID per record: pointers dereference the shared file."""
+    ids = payload.copy()
+    ptr = np.flatnonzero(kind == 0)
+    ids[ptr] = np.fromiter(map(shared.blocks.__getitem__,
+                               payload[ptr].tolist()),
+                           dtype=np.uint64, count=len(ptr))
+    return ids
 
 
 def restore_entity(store: CheckpointStore, entity_id: int) -> np.ndarray:
@@ -405,19 +619,20 @@ def restore_entity(store: CheckpointStore, entity_id: int) -> np.ndarray:
     f = store.se_files.get(entity_id)
     if f is None:
         raise KeyError(f"no checkpoint file for entity {entity_id}")
-    if not f.records:
+    kind, idx, _h, payload = _record_columns(f.records)
+    if not len(idx):
         return np.empty(0, dtype=np.uint64)
-    n_pages = max(r[1] for r in f.records) + 1
-    pages = np.zeros(n_pages, dtype=np.uint64)
-    seen = np.zeros(n_pages, dtype=bool)
-    for kind, idx, _h, payload in f.records:
-        if seen[idx]:
-            raise ValueError(f"duplicate record for page {idx}")
-        pages[idx] = store.shared.read(payload) if kind == "ptr" else payload
+    repeat = _first_repeat(idx)
+    if repeat is not None:
+        raise ValueError(f"duplicate record for page {idx[repeat[1]]}")
+    n_pages = int(idx.max()) + 1
+    if len(idx) < n_pages:
+        seen = np.zeros(n_pages, dtype=bool)
         seen[idx] = True
-    if not seen.all():
         missing = np.flatnonzero(~seen)[:5].tolist()
         raise ValueError(f"checkpoint incomplete: pages {missing} missing")
+    pages = np.empty(n_pages, dtype=np.uint64)
+    pages[idx] = _record_ids(store.shared, kind, payload)
     return pages
 
 
@@ -432,10 +647,9 @@ def blocks_to_pages(block_ids: np.ndarray, page_size: int,
     unchanged since each block already renders exactly one page.
     """
     blocks = np.asarray(block_ids, dtype=np.uint64)
-    if not any(is_interned_id(int(c)) for c in blocks.tolist()):
+    if not interned_mask(blocks).any():
         return blocks.copy()
-    buf = b"".join(materialize_page(int(c), page_size, compress_fraction)
-                   for c in blocks.tolist())
+    buf = b"".join(materialize_pages(blocks, page_size, compress_fraction))
     ids = [intern_chunk(buf[o:o + page_size])
            for o in range(0, len(buf), page_size)]
     return np.asarray(ids, dtype=np.uint64)

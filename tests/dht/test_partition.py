@@ -28,11 +28,14 @@ class TestHomeNode:
             Partition(0)
 
     def test_vectorized_matches_scalar(self):
-        p = Partition(9)
         hs = np.random.default_rng(0).integers(0, 2**63, 500, dtype=np.uint64)
-        homes = p.home_nodes(hs)
-        for h, home in zip(hs.tolist(), homes.tolist()):
-            assert p.home_node(int(h)) == home
+        hs = np.concatenate([hs, np.array([0, 2**63, 2**64 - 1],
+                                          dtype=np.uint64)])
+        for policy in PLACEMENT_POLICIES:
+            p = Partition(9, policy=policy)
+            homes = p.home_nodes(hs)
+            for h, home in zip(hs.tolist(), homes.tolist()):
+                assert p.home_node(int(h)) == home
 
     def test_balance(self):
         """Keys spread near-uniformly over nodes."""

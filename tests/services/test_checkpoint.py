@@ -261,14 +261,14 @@ class TestSharedContentFile:
         f = store.se_file(0)
         f.add_data(0, 1, 11)
         f.add_data(0, 2, 22)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duplicate record for page 0"):
             restore_entity(store, 0)
 
     def test_incomplete_checkpoint_rejected_on_restore(self):
         store = CheckpointStore()
         f = store.se_file(0)
         f.add_data(3, 1, 11)  # pages 0-2 missing
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"pages \[0, 1, 2\] missing"):
             restore_entity(store, 0)
 
 

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.util.hashing import (
     HashAlgo,
@@ -37,6 +39,21 @@ class TestMix64:
         ys = mix64(xs)
         for x, y in zip(xs.tolist(), ys.tolist()):
             assert int(mix64(int(x))) == y
+
+    @given(st.lists(st.one_of(st.sampled_from([0, 1, 2**32, 2**63 - 1,
+                                               2**63, 2**64 - 1]),
+                              st.integers(0, 2**64 - 1)),
+                    min_size=1, max_size=20))
+    def test_scalar_int_path_pinned_to_array(self, xs):
+        """The scalar path mixes Python ints; it must equal the array form
+        bit for bit and keep returning ``np.uint64``."""
+        ys = mix64(np.array(xs, dtype=np.uint64)).tolist()
+        for x, y in zip(xs, ys):
+            got = mix64(x)
+            assert type(got) is np.uint64 and int(got) == y
+            assert int(mix64(np.uint64(x))) == y
+            assert page_hash(x) == int(page_hashes(
+                np.array([x], dtype=np.uint64))[0])
 
     def test_avalanche(self):
         """Flipping one input bit flips ~half the output bits."""
