@@ -12,8 +12,11 @@ implementation.  The execution engine invokes them in four phases:
    advisory hash set from the local DHT shard); then, for every distinct
    hash ConCORD believes exists in the SEs, replica selection (optionally
    via ``collective_select``) and one successful ``collective_command`` on
-   the node of the selected replica; then ``collective_finalize`` per
-   entity (a synchronization point).
+   the node of the selected replica — or, for a service that defines
+   ``collective_command_batch``, one such call per DHT shard covering
+   all of the shard's hashes; then ``collective_finalize`` per entity (a
+   synchronization point).  Entities on failed nodes get neither
+   ``collective_start`` nor ``collective_finalize``.
 3. **Local phase** — ``local_start`` per SE; ``local_command`` per memory
    block of each SE, told whether (and with what private data) its hash was
    already handled collectively; ``local_finalize`` per SE.
@@ -42,7 +45,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.cluster import Cluster
     from repro.sim.costmodel import CostModel
 
-__all__ = ["ServiceCallbacks", "CommandFailed", "ExecMode", "NodeContext"]
+__all__ = ["ServiceCallbacks", "CommandFailed", "ExecMode", "NodeContext",
+           "read_blocks"]
 
 
 class ExecMode(enum.Enum):
@@ -118,13 +122,27 @@ class NodeContext:
         self._charge_sink = None
         self._net_sink = None
         self._shared_sink = None
+        # count()'s handles, valid for _counter_registry.
+        self._counters: dict = {}
+        self._counter_registry = None
 
     def count(self, name: str, n: int | float = 1, **labels) -> None:
         """Bump a service-level counter (``ckpt.shared_appends``, ...) in
         the platform's metrics registry; a no-op when the executor did not
-        attach observability (e.g. a bare NodeContext in tests)."""
-        if self.obs is not None:
-            self.obs.registry.counter(name, **labels).inc(n)
+        attach observability (e.g. a bare NodeContext in tests).  The
+        counter handle is looked up once per name and label set."""
+        if self.obs is None:
+            return
+        registry = self.obs.registry
+        if registry is not self._counter_registry:
+            self._counters = {}
+            self._counter_registry = registry
+        key = (name, *((k, str(v)) for k, v in labels.items())) \
+            if labels else name
+        c = self._counters.get(key)
+        if c is None:
+            c = self._counters[key] = registry.counter(name, **labels)
+        c.inc(n)
 
     def send_bytes(self, dst_node: int, nbytes: int) -> None:
         """Account a bulk data transfer from this node to ``dst_node``.
@@ -199,6 +217,27 @@ class ServiceCallbacks:
         """
         return None
 
+    # Optional batched form of collective_command; subclasses may define
+    #
+    #   collective_command_batch(contexts, nodes, entity_ids, hashes,
+    #                            block_idx) -> privates
+    #
+    # The engine then settles a DHT shard's hashes itself: it walks each
+    # hash's replicas in try-order, skips replicas on failed nodes and
+    # replicas whose entity no longer holds the hash (ground truth), and
+    # calls this once per shard with the settled rows in hash order —
+    # row i is ``hashes[i]`` at block ``block_idx[i]`` of entity
+    # ``entity_ids[i]`` on node ``nodes[i]`` (contexts[nodes[i]] is that
+    # node's context).  It returns one private value per row, as
+    # collective_command would (None counts as True).  Contract: it must
+    # act as collective_command called on each row in order, it never
+    # fails (no CommandFailed) and it never changes entity content, since
+    # the engine resolved every row before the call.  A service with a
+    # collective_select, or without this method, gets one
+    # collective_command per hash; a subclass that overrides
+    # collective_command must override this too or set it to None.
+    collective_command_batch = None
+
     def collective_finalize(self, ctx: NodeContext, role: EntityRole,
                             entity: Entity) -> None:
         """Reduce/gather collective-phase work; also a barrier."""
@@ -238,4 +277,16 @@ class ServiceCallbacks:
     # ``blocks_covered`` a boolean array marking collectively-handled pages.
     # The engine uses it instead of per-page local_command calls when
     # present.  Semantics must match the scalar path; the test suite
-    # cross-checks the two for the bundled services.
+    # cross-checks the two for the bundled services (and
+    # collective_command_batch against collective_command the same way).
+
+
+def read_blocks(cluster: Cluster, entity_ids: np.ndarray,
+                block_idx: np.ndarray) -> np.ndarray:
+    """Content IDs behind many (entity, block index) pairs, as
+    :meth:`NodeContext.read_block` reads one: a gather per entity."""
+    out = np.empty(len(entity_ids), dtype=np.uint64)
+    for eid in np.unique(entity_ids).tolist():
+        at = np.flatnonzero(entity_ids == eid)
+        out[at] = cluster.entity(eid).block_ids()[block_idx[at]]
+    return out

@@ -11,7 +11,9 @@ engine executes the two-phase model of §4:
   invocation may fail because the content is no longer available in the
   node.  When this is detected ... ConCORD will select a different
   potential replica and try again.  If it is unsuccessful for all replicas,
-  it knows that its information about the content hash is stale."
+  it knows that its information about the content hash is stale."  A
+  service with ``collective_command_batch`` has a shard's hashes settled
+  column-wise, one try-depth at a time, and is invoked once per shard.
 * **Local phase** — every block of every SE is visited with ground-truth
   information plus the set of collectively-handled hashes, so the service
   is correct regardless of how stale the DHT was.
@@ -27,7 +29,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any
+from itertools import repeat
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -45,6 +48,7 @@ from repro.exec.pool import ShardPool
 from repro.obs import Observability, Span
 from repro.sim.cluster import Cluster
 from repro.util.records import ENTITY_ID_BYTES, HASH_BYTES, UDP_HEADER_BYTES
+from repro.util.shuffle import permutations
 
 __all__ = ["ServiceCommandExecutor", "CommandResult", "CommandStats", "PhaseBreakdown"]
 
@@ -143,6 +147,17 @@ class PhaseBreakdown:
                    barrier=barrier)
 
 
+class _Handled(NamedTuple):
+    """One shard's collectively handled rows, in row (= hash) order."""
+
+    shard_node: int
+    hashes: np.ndarray          # uint64 content hashes
+    keys: list[int]             # the same hashes as ints, shared by maps
+    lo: np.ndarray              # their low-64 holder masks
+    wide: dict[int, int]        # the shard's full masks of wide rows
+    privates: list              # collective_command results
+
+
 @dataclass
 class CommandResult:
     success: bool
@@ -152,6 +167,62 @@ class CommandResult:
     mode: ExecMode
     handled_private: dict[int, Any]
     contexts: dict[int, NodeContext]
+
+
+def _mask_bits(mask: int) -> list[int]:
+    """Set bit positions of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _replica_candidates(hashes: np.ndarray, lo: np.ndarray,
+                        wide: dict[int, int],
+                        scope_mask: int) -> tuple[np.ndarray, ...]:
+    """Replica candidates of one shard's believed rows.
+
+    Returns ``(rows, ks, cands)``: the rows with at least one scope
+    holder, their candidate counts, and every such row's candidates in
+    ascending entity ID, concatenated.  Low-64 holders come out one
+    column per set bit; wide rows (holders >= entity 64) are expanded
+    one row at a time.
+    """
+    x = lo & _U64(scope_mask & _M64)
+    ks = np.bitwise_count(x).astype(np.int64)
+    wide_bits: dict[int, list[int]] = {}
+    if wide:
+        at = np.searchsorted(hashes, np.fromiter(wide, dtype=_U64,
+                                                 count=len(wide)))
+        for i, full in zip(at.tolist(), wide.values()):
+            wide_bits[i] = _mask_bits(full & scope_mask)
+            ks[i] = len(wide_bits[i])
+    rows = np.flatnonzero(ks)
+    ks = ks[rows]
+    starts = np.cumsum(ks) - ks
+    cands = np.empty(int(ks.sum()), dtype=np.int64)
+    # Peel the lowest set bit off every row that has one left; a wide
+    # row's low holders are its first candidates, the rest is
+    # overwritten below.
+    x = x[rows]
+    at = starts
+    col = 0
+    while True:
+        left = np.flatnonzero(x)
+        if not len(left):
+            break
+        x, at = x[left], at[left]
+        low = x & (~x + _ONE)
+        cands[at + col] = np.bitwise_count(low - _ONE)
+        x ^= low
+        col += 1
+    for i, bits in wide_bits.items():
+        r = int(np.searchsorted(rows, i))
+        if r < len(rows) and rows[r] == i:
+            cands[starts[r]:starts[r] + len(bits)] = bits
+    return rows, ks, cands
 
 
 class ServiceCommandExecutor:
@@ -207,6 +278,28 @@ class ServiceCommandExecutor:
         size = payload + _MSG_OVERHEAD
         self._tx[(src, self._phase)] += size
         self._rx[(dst, self._phase)] += size
+
+    def _charge_nodes(self, nodes: np.ndarray, seconds: float) -> None:
+        """Charge ``seconds`` once per entry of ``nodes``."""
+        counts = np.bincount(nodes, minlength=self.cluster.n_nodes)
+        for node in np.flatnonzero(counts).tolist():
+            self._cpu[(node, self._phase)] += int(counts[node]) * seconds
+
+    def _msg_fanout(self, hub: int, peers: np.ndarray, payload: int,
+                    inbound: bool = False) -> None:
+        """One message from ``hub`` to each entry of ``peers`` (from each
+        peer to ``hub`` when ``inbound``); messages to self are free."""
+        counts = np.bincount(peers, minlength=self.cluster.n_nodes)
+        counts[hub] = 0
+        total = int(counts.sum())
+        if not total:
+            return
+        size = payload + _MSG_OVERHEAD
+        hub_side, peer_side = ((self._rx, self._tx) if inbound
+                               else (self._tx, self._rx))
+        hub_side[(hub, self._phase)] += total * size
+        for node in np.flatnonzero(counts).tolist():
+            peer_side[(node, self._phase)] += int(counts[node]) * size
 
     def _node_spans(self, phase: str) -> list[Span]:
         """Per-node ``cmd.cpu``/``cmd.comm`` spans of one phase, laid out at
@@ -315,11 +408,14 @@ class ServiceCommandExecutor:
                 service.service_init(contexts[node], config)
 
             # collective_start per scope entity, with advisory hash samples
-            # from the entity's node-local DHT shard slice.
+            # from the entity's node-local DHT shard slice.  A PE on a
+            # failed node has no service state to start.
             samples = self._hash_samples(scope, sample_cap)
             for eid in scope.all_entities():
                 entity = cluster.entity(eid)
                 node = entity.node_id
+                if not node_up[node]:
+                    continue
                 role = scope.role_of(eid)
                 service.collective_start(contexts[node], role, entity,
                                          samples.get(eid,
@@ -339,18 +435,21 @@ class ServiceCommandExecutor:
             # traffic is therefore bounded by the node's own content, which
             # is what keeps it constant as the system scales (§5.4's
             # ~15 MB/node).
-            handled_by_node = self._disseminate_handled(handled)
+            handled_by_node = self._disseminate_handled(handled, scope)
 
             for eid in scope.all_entities():
                 entity = cluster.entity(eid)
-                service.collective_finalize(contexts[entity.node_id],
-                                            scope.role_of(eid), entity)
+                if node_up[entity.node_id]:
+                    service.collective_finalize(contexts[entity.node_id],
+                                                scope.role_of(eid), entity)
             phases["collective"] = self._phase_breakdown("collective")
 
             # ---- phase 2: local ------------------------------------------------------
             self._set_phase("local")
             prof.begin_phase("local")
-            handled_private = {h: priv for h, (priv, _n, _d) in handled.items()}
+            handled_private: dict[int, Any] = {}
+            for sh in handled:
+                handled_private.update(zip(sh.keys, sh.privates))
             self._local_phase(service, scope, contexts, handled_by_node, stats,
                               mode)
             for eid in scope.service_entities:
@@ -432,29 +531,18 @@ class ServiceCommandExecutor:
     def _collective_phase(self, service: ServiceCallbacks, scope: ServiceScope,
                           contexts: dict[int, NodeContext],
                           rng: np.random.Generator, stats: CommandStats,
-                          mode: ExecMode) -> dict[int, tuple[Any, int, frozenset]]:
+                          mode: ExecMode) -> list[_Handled]:
         """Map collective_command over distinct believed SE hashes.
 
-        Returns handled: hash -> (private data, shard node, SE-holder nodes).
+        Returns each live shard's handled rows, in shard order.
         """
-        cluster = self.cluster
         cost = self.cost
         R = self.n_represented
-        se_mask = scope.se_mask
-        scope_mask = scope.scope_mask
-        scope_lo = _U64(scope_mask & _M64)
-        se_lo = _U64(se_mask & _M64)
-        handled: dict[int, tuple[Any, int, frozenset]] = {}
         invoke_cost = (cost.cmd_invoke_overhead if mode is ExecMode.INTERACTIVE
                        else cost.cmd_invoke_overhead * 0.6 + cost.cmd_plan_append)
-        # SE-holder nodes as a uint64 node bitmask per row when the cluster
-        # fits in 64 bits; memoized mask -> frozenset either way, since the
-        # distinct holder sets are few even at millions of hashes.
-        small_nodes = cluster.n_nodes <= 64
-        se_small = [eid for eid in scope.service_entities if eid < 64]
-        node_memo: dict[int, frozenset] = {}
-        se_memo: dict[int, frozenset] = {}
-        node_up = cluster.network.node_up
+        walk = (self._walk_batch
+                if service.collective_command_batch is not None
+                and service.collective_select is None else self._walk_rows)
 
         # Only the live shards can answer: holed ranges contribute nothing
         # here, and the local phase covers whatever this misses (§4.3's
@@ -465,112 +553,210 @@ class ServiceCommandExecutor:
         # selection, and retries happen in exactly the serial order.
         live = self.tracing.live_shards()
         scans = self.pool.map_shards(
-            live, _ops.se_scan, (se_mask,),
+            live, _ops.se_scan, (scope.se_mask,),
             versions=[self.tracing.shard_epoch(s.node_id) for s in live])
+        handled: list[_Handled] = []
         for shard, (hashes, lo, wide) in zip(live, scans):
             shard_node = shard.node_id
             # The shard scans its slice for hashes believed in the SEs.
             self._charge(shard_node,
                          shard.n_hashes * cost.query_scan_per_entry * R)
-            nrow = len(hashes)
-            if nrow == 0:
+            stats.believed_hashes += len(hashes)
+            rows, ks, cands = _replica_candidates(hashes, lo, wide,
+                                                  scope.scope_mask)
+            if not len(rows):
                 continue
-            # Candidate discovery, SE-mask filtering, and SE-holder-node
-            # masks for every believed row in one shot.
-            cand_col = (lo & scope_lo).tolist()
-            se_col = (lo & se_lo).tolist()
-            if small_nodes:
-                sebits = lo & se_lo
-                node_arr = np.zeros(nrow, dtype=_U64)
-                for seid in se_small:
-                    nb = _U64(1 << cluster.node_of(seid))
-                    node_arr |= ((sebits >> _U64(seid)) & _ONE) * nb
-                node_col = node_arr.tolist()
-            else:
-                node_col = None
-            for i, h in enumerate(hashes.tolist()):
-                if wide and h in wide:
-                    full = wide[h]
-                    cand_mask = full & scope_mask
-                    se_part = full & se_mask
-                    node_key = None
-                else:
-                    cand_mask = cand_col[i]
-                    se_part = se_col[i]
-                    node_key = node_col[i] if node_col is not None else None
-                stats.believed_hashes += 1
-                candidates = self._mask_bits(cand_mask)
-                if not candidates:
-                    continue
-                self._charge(shard_node, cost.cmd_select_overhead * R)
-                order = self._select_order(service, contexts, shard_node, h,
-                                           candidates, rng, stats)
-                self._emit(EventKind.SELECT, h, tuple(candidates), order[0])
-                private = None
-                ok = False
-                for eid in order:
-                    target = cluster.node_of(eid)
-                    if not node_up[target]:
-                        # Dead replica host (a PE node): fail over to the
-                        # next candidate, same as vanished content.
-                        stats.retries += 1
-                        self._emit(EventKind.INVOKE_FAILED, h, eid,
-                                   "node-down")
-                        continue
-                    stats.invokes += 1
-                    self._emit(EventKind.INVOKE, h, eid, target)
-                    self._msg(shard_node, target, _INVOKE_BYTES * R)
-                    self._charge(target, invoke_cost * R)
-                    block = cluster.nodes[target].nsm.resolve_block(eid, h)
-                    if block is None:
-                        # Ground truth disagrees: stale DHT entry; retry.
-                        stats.retries += 1
-                        self._emit(EventKind.INVOKE_FAILED, h, eid,
-                                   "content-gone")
-                        self._msg(target, shard_node, _RESULT_BYTES * R)
-                        continue
-                    result = service.collective_command(
-                        contexts[target], cluster.entity(eid), h, block)
-                    self._msg(target, shard_node, _RESULT_BYTES * R)
-                    if isinstance(result, CommandFailed):
-                        stats.retries += 1
-                        self._emit(EventKind.INVOKE_FAILED, h, eid,
-                                   result.reason or "callback-failed")
-                        continue
-                    # Normalize: a successful callback returning None still
-                    # marks the hash handled (private data is optional).
-                    private = True if result is None else result
-                    ok = True
-                    break
-                if ok:
-                    if node_key is not None:
-                        se_holder_nodes = node_memo.get(node_key)
-                        if se_holder_nodes is None:
-                            se_holder_nodes = frozenset(
-                                self._mask_bits(node_key))
-                            node_memo[node_key] = se_holder_nodes
-                    else:
-                        se_holder_nodes = se_memo.get(se_part)
-                        if se_holder_nodes is None:
-                            se_holder_nodes = frozenset(
-                                cluster.node_of(e)
-                                for e in self._mask_bits(se_part))
-                            se_memo[se_part] = se_holder_nodes
-                    handled[h] = (private, shard_node, se_holder_nodes)
-                    stats.handled += 1
-                    self._emit(EventKind.HANDLED, h, eid)
-                else:
-                    stats.stale_unhandled += 1
-                    self._emit(EventKind.STALE, h, tuple(order))
+            # Every row's replica try-order, drawn as rng.permutation(k)
+            # per row would draw it.
+            starts = np.cumsum(ks) - ks
+            orders = cands[np.repeat(starts, ks) + permutations(rng, ks)]
+            done, privates = walk(service, contexts, shard_node,
+                                  hashes[rows], ks, starts, cands, orders,
+                                  stats, invoke_cost)
+            done = rows[done]
+            handled.append(_Handled(shard_node, hashes[done],
+                                    hashes[done].tolist(), lo[done], wide,
+                                    privates))
         return handled
 
-    def _select_order(self, service: ServiceCallbacks,
+    def _walk_rows(self, service: ServiceCallbacks,
+                   contexts: dict[int, NodeContext], shard_node: int,
+                   hashes: np.ndarray, ks: np.ndarray, starts: np.ndarray,
+                   cands: np.ndarray, orders: np.ndarray, stats: CommandStats,
+                   invoke_cost: float) -> tuple[np.ndarray, list]:
+        """The per-row protocol: select, then invoke replicas in try-order
+        until one ``collective_command`` succeeds.  Returns the handled
+        rows' positions and private data."""
+        cluster = self.cluster
+        cost = self.cost
+        R = self.n_represented
+        node_up = cluster.network.node_up
+        cand_l, order_l = cands.tolist(), orders.tolist()
+        done: list[int] = []
+        privates: list = []
+        for i, (h, k, s) in enumerate(zip(hashes.tolist(), ks.tolist(),
+                                           starts.tolist())):
+            candidates = cand_l[s:s + k]
+            self._charge(shard_node, cost.cmd_select_overhead * R)
+            order = self._select_first(service, contexts, shard_node, h,
+                                       candidates, order_l[s:s + k], stats)
+            self._emit(EventKind.SELECT, h, tuple(candidates), order[0])
+            private = None
+            ok = False
+            for eid in order:
+                target = cluster.node_of(eid)
+                if not node_up[target]:
+                    # Dead replica host (a PE node): fail over to the
+                    # next candidate, same as vanished content.
+                    stats.retries += 1
+                    self._emit(EventKind.INVOKE_FAILED, h, eid, "node-down")
+                    continue
+                stats.invokes += 1
+                self._emit(EventKind.INVOKE, h, eid, target)
+                self._msg(shard_node, target, _INVOKE_BYTES * R)
+                self._charge(target, invoke_cost * R)
+                block = cluster.nodes[target].nsm.resolve_block(eid, h)
+                if block is None:
+                    # Ground truth disagrees: stale DHT entry; retry.
+                    stats.retries += 1
+                    self._emit(EventKind.INVOKE_FAILED, h, eid,
+                               "content-gone")
+                    self._msg(target, shard_node, _RESULT_BYTES * R)
+                    continue
+                result = service.collective_command(
+                    contexts[target], cluster.entity(eid), h, block)
+                self._msg(target, shard_node, _RESULT_BYTES * R)
+                if isinstance(result, CommandFailed):
+                    stats.retries += 1
+                    self._emit(EventKind.INVOKE_FAILED, h, eid,
+                               result.reason or "callback-failed")
+                    continue
+                # Normalize: a successful callback returning None still
+                # marks the hash handled (private data is optional).
+                private = True if result is None else result
+                ok = True
+                break
+            if ok:
+                done.append(i)
+                privates.append(private)
+                stats.handled += 1
+                self._emit(EventKind.HANDLED, h, eid)
+            else:
+                stats.stale_unhandled += 1
+                self._emit(EventKind.STALE, h, tuple(order))
+        return np.asarray(done, dtype=np.int64), privates
+
+    def _walk_batch(self, service: ServiceCallbacks,
+                    contexts: dict[int, NodeContext], shard_node: int,
+                    hashes: np.ndarray, ks: np.ndarray, starts: np.ndarray,
+                    cands: np.ndarray, orders: np.ndarray, stats: CommandStats,
+                    invoke_cost: float) -> tuple[np.ndarray, list]:
+        """The same protocol, one try-depth at a time over every row, then
+        one ``collective_command_batch`` call for the shard.
+
+        The callback cannot fail, so a row is settled by the first replica
+        whose host is up and whose entity still holds the hash; the rows
+        reach the callback in row order, as the per-row walk would have
+        invoked them.
+        """
+        cluster = self.cluster
+        cost = self.cost
+        R = self.n_represented
+        n = len(hashes)
+        node_of = np.zeros(int(cands.max()) + 1, dtype=np.int64)
+        held = np.unique(cands)
+        node_of[held] = [cluster.node_of(e) for e in held.tolist()]
+        up = np.asarray(cluster.network.node_up, dtype=bool)
+        self._charge(shard_node, n * (cost.cmd_select_overhead * R))
+        pending = np.ones(n, dtype=bool)
+        depth = np.full(n, -1, dtype=np.int64)   # try-depth that succeeded
+        blocks = np.zeros(n, dtype=np.int64)
+        for d in range(int(ks.max())):
+            at = np.flatnonzero(pending & (ks > d))
+            if not len(at):
+                break
+            eids = orders[starts[at] + d]
+            targets = node_of[eids]
+            alive = up[targets]
+            stats.retries += len(at) - int(alive.sum())
+            at, eids, targets = at[alive], eids[alive], targets[alive]
+            stats.invokes += len(at)
+            self._charge_nodes(targets, invoke_cost * R)
+            self._msg_fanout(shard_node, targets, _INVOKE_BYTES * R)
+            self._msg_fanout(shard_node, targets, _RESULT_BYTES * R,
+                             inbound=True)
+            found = self._resolve_blocks(eids, hashes[at])
+            ok = found >= 0
+            stats.retries += len(at) - int(ok.sum())
+            at = at[ok]
+            pending[at] = False
+            depth[at] = d
+            blocks[at] = found[ok]
+        done = np.flatnonzero(~pending)
+        stats.handled += len(done)
+        stats.stale_unhandled += n - len(done)
+        privates: list = []
+        if len(done):
+            eids = orders[starts[done] + depth[done]]
+            result = service.collective_command_batch(
+                contexts, node_of[eids], eids, hashes[done], blocks[done])
+            privates = [True if p is None else p for p in result]
+            if len(privates) != len(done):
+                raise ValueError(
+                    f"collective_command_batch returned {len(privates)} "
+                    f"results for {len(done)} rows")
+        if self._tracer is not None:
+            self._trace_walk(hashes, ks, starts, cands, orders, depth,
+                             node_of.tolist(), up.tolist())
+        return done, privates
+
+    def _trace_walk(self, hashes: np.ndarray, ks: np.ndarray,
+                    starts: np.ndarray, cands: np.ndarray, orders: np.ndarray,
+                    depth: np.ndarray, node_of: list[int],
+                    up: list[bool]) -> None:
+        """Emit a batched walk's events in the per-row walk's order."""
+        emit = self._emit
+        cand_l, order_l = cands.tolist(), orders.tolist()
+        for h, k, s, d in zip(hashes.tolist(), ks.tolist(), starts.tolist(),
+                              depth.tolist()):
+            order = order_l[s:s + k]
+            emit(EventKind.SELECT, h, tuple(cand_l[s:s + k]), order[0])
+            for j, eid in enumerate(order[:k if d < 0 else d + 1]):
+                target = node_of[eid]
+                if not up[target]:
+                    emit(EventKind.INVOKE_FAILED, h, eid, "node-down")
+                    continue
+                emit(EventKind.INVOKE, h, eid, target)
+                if j != d:
+                    emit(EventKind.INVOKE_FAILED, h, eid, "content-gone")
+            if d >= 0:
+                emit(EventKind.HANDLED, h, order[d])
+            else:
+                emit(EventKind.STALE, h, tuple(order))
+
+    def _resolve_blocks(self, eids: np.ndarray,
+                        hashes: np.ndarray) -> np.ndarray:
+        """Ground truth for (entity, hash) pairs: the block index holding
+        each hash now (the last one, as ``find_block`` answers), or -1
+        where the content is gone.  One index lookup pass per entity."""
+        out = np.empty(len(eids), dtype=np.int64)
+        if not len(eids):
+            return out
+        by_eid = np.argsort(eids, kind="stable")
+        cuts = np.flatnonzero(np.diff(eids[by_eid])) + 1
+        for grp in np.split(by_eid, cuts):
+            get = self.cluster.entity(int(eids[grp[0]])).hash_index().get
+            out[grp] = np.fromiter(map(get, hashes[grp].tolist(),
+                                       repeat(-1, len(grp))),
+                                   dtype=np.int64, count=len(grp))
+        return out
+
+    def _select_first(self, service: ServiceCallbacks,
                       contexts: dict[int, NodeContext], shard_node: int,
                       content_hash: int, candidates: list[int],
-                      rng: np.random.Generator,
-                      stats: CommandStats) -> list[int]:
-        """Replica try-order: collective_select's pick first, else random."""
-        order = [candidates[i] for i in rng.permutation(len(candidates))]
+                      order: list[int], stats: CommandStats) -> list[int]:
+        """Replica try-order: collective_select's pick first, else the
+        drawn random order."""
         if service.collective_select is not None:
             stats.select_calls += 1
             pick = service.collective_select(
@@ -583,51 +769,66 @@ class ServiceCommandExecutor:
                 order.insert(0, pick)
         return order
 
-    @staticmethod
-    def _mask_bits(mask: int) -> list[int]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
-
     def _disseminate_handled(
-            self, handled: dict[int, tuple[Any, int, frozenset]],
-    ) -> dict[int, dict[int, Any]]:
+            self, handled: list[_Handled], scope: ServiceScope,
+    ) -> dict[int, tuple[dict[int, Any], np.ndarray]]:
         """Shards push handled entries to the nodes believed to need them.
 
         A node learns about hash h only if the DHT's bitmap says one of its
         SEs holds h.  If that information was stale the node simply treats
         h as unhandled and falls back to local content — correct, slightly
-        less deduplicated.  Returns the per-node visible handled maps.
+        less deduplicated.  Returns, per node, the visible handled map and
+        its hashes.
         """
         R = self.n_represented
-        by_node: dict[int, dict[int, Any]] = defaultdict(dict)
-        pair_entries: dict[tuple[int, int], int] = defaultdict(int)
-        for h, (priv, shard_node, se_holder_nodes) in handled.items():
-            for dst in se_holder_nodes:
-                by_node[dst][h] = priv
-                pair_entries[(shard_node, dst)] += 1
-        for (shard_node, dst), n_entries in pair_entries.items():
-            self._emit(EventKind.EXCHANGE, shard_node, dst, n_entries)
-            self._msg(shard_node, dst, n_entries * _EXCHANGE_ENTRY_BYTES * R)
-        return dict(by_node)
+        se_of_node: dict[int, int] = defaultdict(int)
+        for eid in scope.service_entities:
+            se_of_node[self.cluster.node_of(eid)] |= 1 << eid
+        maps: dict[int, dict[int, Any]] = defaultdict(dict)
+        keys: dict[int, list[np.ndarray]] = defaultdict(list)
+        for shard_node, hashes, hkeys, lo, wide, privates in handled:
+            # Rows with holders >= entity 64 test their full mask.
+            wide_rows: list[tuple[int, int]] = []
+            if wide and len(hashes):
+                at = np.searchsorted(hashes, np.fromiter(wide, dtype=_U64,
+                                                         count=len(wide)))
+                wide_rows = [(i, full) for i, h, full in zip(
+                    at.tolist(), wide, wide.values())
+                    if i < len(hashes) and int(hashes[i]) == h]
+            for dst in sorted(se_of_node):
+                mask = se_of_node[dst]
+                sel = (lo & _U64(mask & _M64)) != 0
+                for i, full in wide_rows:
+                    sel[i] = bool(full & mask)
+                at = np.flatnonzero(sel)
+                if not len(at):
+                    continue
+                keys[dst].append(hashes[at])
+                at_l = at.tolist()
+                maps[dst].update(zip(map(hkeys.__getitem__, at_l),
+                                     map(privates.__getitem__, at_l)))
+                self._emit(EventKind.EXCHANGE, shard_node, dst, len(at))
+                self._msg(shard_node, dst,
+                          len(at) * _EXCHANGE_ENTRY_BYTES * R)
+        return {dst: (maps[dst], np.concatenate(keys[dst])) for dst in maps}
 
     def _local_phase(self, service: ServiceCallbacks, scope: ServiceScope,
                      contexts: dict[int, NodeContext],
-                     handled_by_node: dict[int, dict[int, Any]],
+                     handled_by_node: dict[int, tuple[dict[int, Any],
+                                                      np.ndarray]],
                      stats: CommandStats, mode: ExecMode) -> None:
         cluster = self.cluster
         cost = self.cost
         R = self.n_represented
         per_block = (cost.cmd_local_per_block if mode is ExecMode.INTERACTIVE
                      else cost.cmd_local_per_block * 0.6 + cost.cmd_plan_append)
+        nothing = ({}, np.empty(0, dtype=_U64))
 
         for eid in scope.service_entities:
             entity = cluster.entity(eid)
             node = entity.node_id
-            handled_private = handled_by_node.get(node, {})
+            handled_private, handled_hashes = handled_by_node.get(node,
+                                                                  nothing)
             ctx = contexts[node]
             service.local_start(ctx, entity)
             hashes = entity.content_hashes()
@@ -637,9 +838,7 @@ class ServiceCommandExecutor:
 
             batch = getattr(service, "local_command_batch", None)
             if batch is not None:
-                covered = np.fromiter(
-                    (int(h) in handled_private for h in hashes.tolist()),
-                    dtype=bool, count=n)
+                covered = np.isin(hashes, handled_hashes)
                 batch(ctx, entity, hashes, covered, handled_private)
                 n_cov = int(covered.sum())
             else:

@@ -30,7 +30,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.command import ExecMode, NodeContext, ServiceCallbacks
+from repro.core.command import (ExecMode, NodeContext, ServiceCallbacks,
+                                read_blocks)
 from repro.core.scope import EntityRole
 from repro.memory.entity import Entity
 from repro.memory.nsm import BlockRef
@@ -71,6 +72,8 @@ _MIN_RECORD = _DATA_V1.size               # smallest record: empty v1 data
 
 _KIND_CODES = {"ptr": 0, "data": 1}
 _KIND_NAMES = ("ptr", "data")
+#: Record kind by "is covered" (0 = literal data, 1 = pointer).
+_RECORD_KINDS = np.array(["data", "ptr"], dtype=object)
 
 
 class SharedContentFile:
@@ -96,6 +99,17 @@ class SharedContentFile:
         self.blocks.append(int(content_id))
         self._offset_of[h] = offset
         return offset
+
+    def extend(self, hashes: list[int], content_ids: list[int]) -> list[int]:
+        """:meth:`append` each block in order; returns their offsets."""
+        if (len(set(hashes)) < len(hashes)
+                or not self._offset_of.keys().isdisjoint(hashes)):
+            return list(map(self.append, hashes, content_ids))
+        offsets = list(range(len(self.blocks),
+                             len(self.blocks) + len(hashes)))
+        self.blocks.extend(content_ids)
+        self._offset_of.update(zip(hashes, offsets))
+        return offsets
 
     @classmethod
     def from_blocks(cls, page_size: int, hashes: np.ndarray,
@@ -699,6 +713,9 @@ class CollectiveCheckpoint(ServiceCallbacks):
         self.store = store
         self.pfs = pfs
         self.refine_plan = refine_plan
+        # Page-index ints shared by every SE file's records (one int
+        # object per index, not one per record).
+        self._page_numbers: list[int] = []
 
     # -- service initialization: open files, allocate state ---------------------------
 
@@ -715,14 +732,15 @@ class CollectiveCheckpoint(ServiceCallbacks):
     # -- collective phase: write each distinct block to the shared file ----------------
 
     def _charge_block_append(self, ctx: NodeContext, amortize: float = 1.0,
-                             shared: bool = False) -> None:
+                             shared: bool = False, n_blocks: int = 1) -> None:
         c = ctx.cost
         ctx.charge_per_block(c.file_append_base * amortize
                              + self.store.page_size
-                             * (c.file_append_per_byte + c.memcpy_per_byte))
+                             * (c.file_append_per_byte + c.memcpy_per_byte),
+                             n_blocks)
         if shared and self.pfs is not None:
             _client, server = self.pfs.append_costs(self.store.page_size)
-            ctx.charge_shared(server * ctx.n_represented)
+            ctx.charge_shared(server * ctx.n_represented * n_blocks)
 
     def collective_command(self, ctx: NodeContext, entity: Entity,
                            content_hash: int, block: BlockRef) -> Any:
@@ -737,6 +755,35 @@ class CollectiveCheckpoint(ServiceCallbacks):
         st.shared_appends += 1
         ctx.count("ckpt.shared_appends")
         return offset
+
+    def collective_command_batch(self, contexts: dict[int, NodeContext],
+                                 nodes: np.ndarray, entity_ids: np.ndarray,
+                                 hashes: np.ndarray,
+                                 block_idx: np.ndarray) -> list:
+        """collective_command over many rows: appended to the shared file
+        in row order (INTERACTIVE) or to each node's shared plan."""
+        ctx0 = contexts[int(nodes[0])]
+        hs = hashes.tolist()
+        cids = read_blocks(ctx0.cluster, entity_ids, block_idx).tolist()
+        interactive = ctx0.mode is ExecMode.INTERACTIVE
+        offsets = (self.store.shared.extend(hs, cids) if interactive
+                   else [True] * len(hs))
+        # Per node: hash -> offset (INTERACTIVE), (hash, content ID) plan
+        # entries (BATCH).
+        values = offsets if interactive else cids
+        for node in np.unique(nodes).tolist():
+            at = np.flatnonzero(nodes == node).tolist()
+            ctx = contexts[node]
+            st: _CkptNodeState = ctx.state
+            rows = zip(map(hs.__getitem__, at), map(values.__getitem__, at))
+            if not interactive:
+                st.shared_plan.extend(rows)
+                continue
+            st.offsets.update(rows)
+            st.shared_appends += len(at)
+            self._charge_block_append(ctx, shared=True, n_blocks=len(at))
+            ctx.count("ckpt.shared_appends", len(at))
+        return offsets
 
     def collective_finalize(self, ctx: NodeContext, role: EntityRole,
                             entity: Entity) -> None:
@@ -789,24 +836,24 @@ class CollectiveCheckpoint(ServiceCallbacks):
         n = len(hashes)
         n_cov = int(covered.sum())
         c = ctx.cost
-        if ctx.mode is ExecMode.BATCH:
-            hlist = hashes.tolist()
-            for idx in range(n):
-                h = int(hlist[idx])
-                if covered[idx]:
-                    st.local_plan.append(("ptr", entity.entity_id, idx, h))
-                else:
-                    st.local_plan.append(("data", entity.entity_id, idx, h,
-                                          entity.read_block_id(idx)))
-            return
-        f = self.store.se_file(entity.entity_id)
+        eid = entity.entity_id
         hlist = hashes.tolist()
-        for idx in range(n):
-            h = int(hlist[idx])
-            if covered[idx]:
-                f.add_pointer(idx, h, int(handled_map[h]))
-            else:
-                f.add_data(idx, h, entity.read_block_id(idx))
+        payload = entity.block_ids().tolist()
+        if ctx.mode is ExecMode.BATCH:
+            st.local_plan.extend(
+                ("ptr", eid, idx, h) if cov else ("data", eid, idx, h, cid)
+                for idx, (cov, h, cid) in enumerate(zip(
+                    covered.tolist(), hlist, payload)))
+            return
+        # Pointers carry the shared-file offset, literal records the
+        # block's content ID.
+        for i in np.flatnonzero(covered).tolist():
+            payload[i] = handled_map[hlist[i]]
+        if len(self._page_numbers) < n:
+            self._page_numbers = list(range(n))
+        self.store.se_file(eid).records.extend(zip(
+            _RECORD_KINDS[covered.astype(np.intp)].tolist(),
+            self._page_numbers, hlist, payload))
         st.pointer_records += n_cov
         st.data_records += n - n_cov
         ctx.count("ckpt.pointer_records", n_cov)

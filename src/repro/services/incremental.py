@@ -50,6 +50,10 @@ class IncrementalCheckpoint(CollectiveCheckpoint):
 
     name = "incremental-checkpoint"
 
+    # Every hash consults the base first, so the inherited batched append
+    # does not apply: one collective_command per hash.
+    collective_command_batch = None
+
     def __init__(self, store: CheckpointStore, base: CheckpointStore,
                  pfs=None) -> None:
         if base is store:

@@ -16,7 +16,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.command import ExecMode, NodeContext, ServiceCallbacks
+from repro.core.command import (ExecMode, NodeContext, ServiceCallbacks,
+                                read_blocks)
 from repro.core.scope import EntityRole
 from repro.memory.entity import Entity
 from repro.memory.nsm import BlockRef
@@ -57,6 +58,26 @@ class NullService(ServiceCallbacks):
             ctx.charge_per_block(ctx.cost.page_touch)
         ctx.state.collective_blocks += 1
         return True
+
+    def collective_command_batch(self, contexts: dict[int, NodeContext],
+                                 nodes: np.ndarray, entity_ids: np.ndarray,
+                                 hashes: np.ndarray,
+                                 block_idx: np.ndarray) -> list:
+        """collective_command over many rows: one touch per block."""
+        ctx0 = contexts[int(nodes[0])]
+        if ctx0.mode is not ExecMode.BATCH:
+            read_blocks(ctx0.cluster, entity_ids, block_idx)  # the touch
+        for node in np.unique(nodes).tolist():
+            at = np.flatnonzero(nodes == node)
+            ctx = contexts[node]
+            if ctx.mode is ExecMode.BATCH:
+                for eid, idx in zip(entity_ids[at].tolist(),
+                                    block_idx[at].tolist()):
+                    ctx.plan.record("touch", eid, idx)
+            else:
+                ctx.charge_per_block(ctx.cost.page_touch, len(at))
+            ctx.state.collective_blocks += len(at)
+        return [True] * len(hashes)
 
     def local_command(self, ctx: NodeContext, entity: Entity, page_idx: int,
                       content_hash: int, block: BlockRef,

@@ -126,7 +126,11 @@ class TrafficDriver:
         self.clients = [_Client(i, i % n_nodes)
                         for i in range(spec.n_clients)]
         self._keys = self._hot_keys()
-        self._key_p = self._zipf_weights(len(self._keys), spec.zipf_s)
+        # The key CDF, built once as Generator.choice(p=...) builds it
+        # on every call, so the draws below are choice's draws.
+        cdf = self._zipf_weights(len(self._keys), spec.zipf_s).cumsum()
+        cdf /= cdf[-1]
+        self._key_cdf = cdf
         self._groups = self._entity_groups()
 
     # -- populations -------------------------------------------------------------
@@ -173,7 +177,8 @@ class TrafficDriver:
         if r.random() < self.spec.nodewise_frac:
             op = ("entities" if r.random() < self.spec.entities_frac
                   else "num_copies")
-            key = self._keys[int(r.choice(len(self._keys), p=self._key_p))]
+            key = self._keys[int(self._key_cdf.searchsorted(r.random(),
+                                                            side="right"))]
             return op, (key,), qos
         op = _COLLECTIVE_MIX[int(r.integers(len(_COLLECTIVE_MIX)))]
         group = self._groups[int(r.integers(len(self._groups)))]

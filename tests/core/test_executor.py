@@ -10,6 +10,8 @@ import pytest
 
 from repro.core.command import CommandFailed, ExecMode, ServiceCallbacks
 from repro.core.scope import EntityRole, ServiceScope
+from repro.services.checkpoint import (CheckpointStore, CollectiveCheckpoint,
+                                       restore_entity)
 from repro.services.null import NullService
 from repro import workloads
 from tests.conftest import make_system
@@ -279,6 +281,33 @@ class TestModesAndAccounting:
         r2 = run_probe(seed=5)[4]
         assert r1.wall_time == r2.wall_time
         assert r1.stats.handled == r2.stats.handled
+
+
+class TestFailedPEHost:
+    """A PE on a failed node: its node ran no service_init, so it gets no
+    collective_start/collective_finalize, and the command completes with
+    its replicas failing over."""
+
+    @pytest.mark.parametrize("mode", [ExecMode.INTERACTIVE, ExecMode.BATCH])
+    @pytest.mark.parametrize("service", ["null", "checkpoint"])
+    def test_command_completes(self, service, mode):
+        cluster, ents, concord = make_system(
+            n_nodes=3, spec=workloads.moldy(3, 64, seed=2))
+        dead = ents[2]
+        concord.fail_node(dead.node_id)
+        store = CheckpointStore()
+        svc = (NullService() if service == "null"
+               else CollectiveCheckpoint(store))
+        ses = [e.entity_id for e in ents[:2]]
+        result = concord.execute_command(
+            svc, ServiceScope.of(ses, [dead.entity_id]), mode=mode)
+        assert result.success
+        assert result.contexts[dead.node_id].state is None
+        assert result.stats.handled > 0
+        if service == "checkpoint":
+            for eid in ses:
+                assert np.array_equal(restore_entity(store, eid),
+                                      cluster.entity(eid).pages)
 
 
 class TestPhaseBreakdownSplit:

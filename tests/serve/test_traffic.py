@@ -1,10 +1,13 @@
 """Tests for the traffic workload driver (workloads/traffic.py)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.queries.interface import QueryInterface
-from repro.serve import QueryFrontend, ServeConfig
+from repro.serve import QoSClass, QueryFrontend, ServeConfig
 from repro.workloads import TrafficDriver, TrafficSpec
+from repro.workloads.traffic import _COLLECTIVE_MIX
 from tests.conftest import make_system
 
 
@@ -146,3 +149,53 @@ class TestClosedLoop:
             return TrafficDriver(fe, spec).run()
         off, on = run(False), run(True)
         assert on.qps > 2.0 * off.qps
+
+
+class _ChoiceDriver(TrafficDriver):
+    """The request draw as it was written before the key CDF was
+    precomputed: ``Generator.choice`` with the Zipf weights on every
+    call.  Kept here only as the reference for the stream property."""
+
+    def _draw_request(self):
+        r = self.rng
+        qos = (QoSClass.BATCH if r.random() < self.spec.batch_frac
+               else QoSClass.INTERACTIVE)
+        if r.random() < self.spec.nodewise_frac:
+            op = ("entities" if r.random() < self.spec.entities_frac
+                  else "num_copies")
+            p = self._zipf_weights(len(self._keys), self.spec.zipf_s)
+            key = self._keys[int(r.choice(len(self._keys), p=p))]
+            return op, (key,), qos
+        op = _COLLECTIVE_MIX[int(r.integers(len(_COLLECTIVE_MIX)))]
+        group = self._groups[int(r.integers(len(self._groups)))]
+        if op == "num_shared_content":
+            return op, (group, self.spec.collective_k), qos
+        return op, (group,), qos
+
+
+_FRONTEND = []
+
+
+def _shared_frontend():
+    """One frontend for every example: drawing requests never submits."""
+    if not _FRONTEND:
+        _FRONTEND.append(build_frontend()[0])
+    return _FRONTEND[0]
+
+
+class TestRequestStream:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 3.0),
+           st.integers(1, 400), st.floats(0.0, 1.0))
+    def test_same_seed_same_stream_as_generator_choice(
+            self, seed, zipf_s, population, nodewise_frac):
+        """The precomputed CDF draws exactly the keys Generator.choice
+        draws, so same-seed request streams are unchanged."""
+        spec = TrafficSpec(n_clients=2, duration_s=0.01, seed=seed,
+                           zipf_s=zipf_s, population=population,
+                           nodewise_frac=nodewise_frac)
+        fe = _shared_frontend()
+        ours, ref = TrafficDriver(fe, spec), _ChoiceDriver(fe, spec)
+        assert [ours._draw_request() for _ in range(300)] == \
+            [ref._draw_request() for _ in range(300)]
+        assert ours.rng.random() == ref.rng.random()
